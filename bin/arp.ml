@@ -1,4 +1,4 @@
-(* arpview: the resource-profiler report — per-handler measured costs,
+(* amulet arp: the resource-profiler report — per-handler measured costs,
    static check-site counts, weekly extrapolation and battery impact,
    per isolation mode. *)
 
@@ -7,20 +7,25 @@ module Arp = Amulet_arp.Arp
 module Energy = Amulet_arp.Energy
 module Apps = Amulet_apps.Suite
 module Obs = Amulet_obs.Obs
-module Summary = Amulet_obs.Summary
 
-(* Profile one mode while streaming the kernel's dispatch spans to a
-   JSONL buffer, then hand back both the ARP aggregate and the parsed
-   trace records. *)
+(* Profile one mode while collecting the kernel's dispatch spans in
+   memory, then hand back both the ARP aggregate and those spans. *)
 let profile_with_trace ~warmup ~mode app =
   let obs = Obs.create () in
-  let buf = Buffer.create 4096 in
-  Obs.add_sink obs (Obs.jsonl_buffer_sink buf);
+  let spans = ref [] in
+  Obs.add_sink obs
+    {
+      Obs.output =
+        (function
+        | Obs.Span { cat = "dispatch"; _ } as r -> spans := r :: !spans
+        | _ -> ());
+      close = ignore;
+    };
   let p = Arp.profile_app ~warmup_ms:warmup ~obs ~mode app in
   Obs.close obs;
-  (p, Summary.of_string (Buffer.contents buf))
+  (p, List.rev !spans)
 
-(* ARP-view per-state accounting, recovered from the trace: each
+(* ARP-view per-state accounting, recovered from the spans: each
    dispatch span is attributed to the value of the app's [state]
    global when the event arrived. *)
 let per_state_accounting records =
@@ -45,13 +50,12 @@ let per_state_accounting records =
     records;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
-let profile_cmd app_name warmup =
-  match List.find_opt (fun a -> a.Apps.name = app_name) Apps.all with
-  | None ->
-    Format.eprintf "unknown app %s; known: %s@." app_name
-      (String.concat ", " (List.map (fun a -> a.Apps.name) Apps.all));
-    1
-  | Some app ->
+let run app_name warmup () =
+  match Apps.find app_name with
+  | exception Not_found ->
+    Cli.usage "unknown app %s; known: %s" app_name
+      (String.concat ", " (List.map (fun a -> a.Apps.name) Apps.all))
+  | app ->
     let baseline, baseline_records =
       profile_with_trace ~warmup ~mode:Iso.No_isolation app
     in
@@ -80,7 +84,7 @@ let profile_cmd app_name warmup =
           (overhead /. 1e9)
           (Energy.battery_impact_percent ~overhead_cycles_per_week:overhead);
         (* ARP-view per-state accounting, when the app has a state
-           machine — read back from the same run's trace records *)
+           machine — read back from the same run's dispatch spans *)
         (match per_state_accounting records with
         | [] -> ()
         | states ->
@@ -117,7 +121,5 @@ let warmup_arg =
     & info [ "warmup" ] ~docv:"MS" ~doc:"Profiling warm-up in virtual ms.")
 
 let cmd =
-  let doc = "Amulet Resource Profiler report for one application" in
-  Cmd.v (Cmd.info "arpview" ~doc) Term.(const profile_cmd $ app_arg $ warmup_arg)
-
-let () = exit (Cmd.eval' cmd)
+  Cli.cmd "arp" ~doc:"Amulet Resource Profiler report for one application"
+    Term.(const run $ app_arg $ warmup_arg)

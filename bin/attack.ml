@@ -1,4 +1,4 @@
-(* amulet_attack: run the adversarial attack & fault-injection
+(* amulet attack: run the adversarial attack & fault-injection
    campaign — every corpus attack under every isolation mode, each
    cell checked against its documented expectation by the isolation
    oracle.  Exits non-zero on any expectation mismatch, oracle
@@ -7,15 +7,7 @@
 module Iso = Amulet_cc.Isolation
 module Sec = Amulet_sec
 
-let mode_conv =
-  let parse s =
-    match Iso.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg "expected one of: none, amuletc, software, mpu")
-  in
-  Cmdliner.Arg.conv (parse, fun ppf m -> Format.fprintf ppf "%s" (Iso.name m))
-
-let run_cmd quick seed jobs out only modes list =
+let run quick seed jobs out only modes list () =
   if list then begin
     List.iter
       (fun (a : Sec.Attacks.t) ->
@@ -33,8 +25,7 @@ let run_cmd quick seed jobs out only modes list =
     Format.printf "%a" Sec.Campaign.pp_matrix summary;
     (match out with
     | Some path ->
-      let oc = open_out path in
-      Sec.Campaign.emit_jsonl summary oc;
+      Out_channel.with_open_text path (Sec.Campaign.emit_jsonl summary);
       Format.printf "campaign records written to %s@." path
     | None -> ());
     if Sec.Campaign.ok summary then 0 else 1
@@ -56,32 +47,11 @@ let seed_arg =
     & info [ "seed" ] ~docv:"SEED"
         ~doc:"Campaign seed (fault-injection schedules, sensor streams).")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains (0 = Fleet.Sched.default_jobs, the policy \
-           shared with amulet_fleet).")
-
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:"Write one JSONL campaign record per cell to $(docv).")
-
 let only_arg =
   Arg.(
     value & opt_all string []
     & info [ "only" ] ~docv:"ATTACK"
         ~doc:"Restrict to the named attack (repeatable).")
-
-let modes_arg =
-  Arg.(
-    value & opt_all mode_conv []
-    & info [ "m"; "mode" ] ~docv:"MODE"
-        ~doc:"Restrict to one isolation mode (repeatable; default all).")
 
 let list_arg =
   Arg.(
@@ -89,11 +59,11 @@ let list_arg =
     & info [ "list" ] ~doc:"List the attack corpus and exit.")
 
 let cmd =
-  let doc = "adversarial attack & fault-injection campaign" in
-  Cmd.v
-    (Cmd.info "amulet_attack" ~doc)
+  Cli.cmd "attack" ~doc:"adversarial attack & fault-injection campaign"
     Term.(
-      const run_cmd $ quick_arg $ seed_arg $ jobs_arg $ out_arg $ only_arg
-      $ modes_arg $ list_arg)
-
-let () = exit (Cmd.eval' cmd)
+      const run $ quick_arg $ seed_arg $ Cli.jobs
+      $ Cli.out ~doc:"Write one JSONL campaign record per cell to $(docv)." ()
+      $ only_arg
+      $ Cli.modes
+          ~doc:"Restrict to one isolation mode (repeatable; default all)."
+      $ list_arg)

@@ -1,4 +1,4 @@
-(* amulet_fleet: fleet-scale simulation service.  Parses a scenario
+(* amulet fleet: fleet-scale simulation service.  Parses a scenario
    file, instantiates N independent Machine+Kernel devices across
    worker domains, drives each with deterministic seeded event
    traffic, and merges the per-domain shards into one aggregate
@@ -39,11 +39,9 @@ let run_one ~jobs ~progress scenario =
     ?progress:(if progress then Some (progress_bar ()) else None)
     scenario
 
-let run_cmd file devices duration seed jobs out progress scaling =
-  match Scenario.of_file file with
-  | Error e ->
-    Printf.eprintf "amulet_fleet: %s: %s\n" file e;
-    2
+let run file devices duration seed jobs out progress scaling () =
+  match Scenario.parse (In_channel.with_open_text file In_channel.input_all) with
+  | Error e -> Cli.usage "%s: %s" file e
   | Ok scenario -> (
     let scenario = override scenario devices duration seed in
     Format.printf "%a@." Scenario.pp scenario;
@@ -53,9 +51,7 @@ let run_cmd file devices duration seed jobs out progress scaling =
       Format.printf "%a" Fleet.pp s;
       (match out with
       | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Json.to_string (Fleet.summary_json s));
-            output_char oc '\n');
+        Cli.write_json path (Fleet.summary_json s);
         Format.printf "aggregate summary written to %s@." path
       | None -> ());
       if Fleet.ok s then 0 else 1
@@ -93,7 +89,7 @@ open Cmdliner
 let file_arg =
   Arg.(
     required
-    & pos 0 (some file) None
+    & pos 0 (some string) None
     & info [] ~docv:"SCENARIO" ~doc:"Scenario file (see examples/scenarios/).")
 
 let devices_arg =
@@ -115,23 +111,6 @@ let seed_arg =
     & opt (some int) None
     & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's base seed.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains (0 = Fleet.Sched.default_jobs, the shared \
-           policy).")
-
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:
-          "Write the deterministic aggregate-summary JSON to $(docv) \
-           (bit-identical for a fixed scenario+seed).")
-
 let progress_arg =
   Arg.(
     value & flag
@@ -148,11 +127,12 @@ let scaling_arg =
            bit-identical.")
 
 let cmd =
-  let doc = "fleet-scale wearable simulation service" in
-  Cmd.v
-    (Cmd.info "amulet_fleet" ~doc)
+  Cli.cmd "fleet" ~doc:"fleet-scale wearable simulation service"
     Term.(
-      const run_cmd $ file_arg $ devices_arg $ duration_arg $ seed_arg
-      $ jobs_arg $ out_arg $ progress_arg $ scaling_arg)
-
-let () = exit (Cmd.eval' cmd)
+      const run $ file_arg $ devices_arg $ duration_arg $ seed_arg $ Cli.jobs
+      $ Cli.out
+          ~doc:
+            "Write the deterministic aggregate-summary JSON to $(docv) \
+             (bit-identical for a fixed scenario+seed)."
+          ()
+      $ progress_arg $ scaling_arg)

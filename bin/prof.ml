@@ -1,4 +1,4 @@
-(* amulet_prof: read a trace written by `amulet_sim --trace` (Chrome
+(* amulet prof: read a trace written by `amulet sim --trace` (Chrome
    trace_event JSON or JSONL) and print reports:
 
      report  — span statistics (count/total/avg/p50/p99/max), counter
@@ -11,34 +11,22 @@
    JSONL traces stream through the aggregator line by line, so
    arbitrarily long runs are summarised in constant memory. *)
 
-module Summary = Amulet_obs.Summary
 module Agg = Amulet_obs.Agg
 module Profile = Amulet_obs.Profile
 module Energy = Amulet_arp.Energy
 
-let with_trace file f =
-  try
-    let ic = open_in_bin file in
-    let agg =
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          Summary.agg_of_channel ic)
-    in
-    if Agg.records agg = 0 then begin
-      Format.eprintf "%s: no trace records found@." file;
-      1
-    end
-    else f agg
-  with
-  | Sys_error msg ->
-    Format.eprintf "%s@." msg;
-    1
-  | Amulet_obs.Json.Parse_error msg ->
-    Format.eprintf "%s: malformed trace: %s@." file msg;
-    1
+let with_trace file f () =
+  let agg =
+    try In_channel.with_open_bin file Agg.of_channel
+    with Amulet_obs.Json.Parse_error msg ->
+      Cli.usage "%s: malformed trace: %s" file msg
+  in
+  if Agg.records agg = 0 then Cli.usage "%s: no trace records found" file;
+  f agg
 
-let report_cmd file =
+let report file =
   with_trace file (fun agg ->
-      Format.printf "%a" Summary.pp_agg agg;
+      Format.printf "%a" Agg.pp agg;
       0)
 
 (* Final value of each profile.<class>.cycles counter = the class's
@@ -54,15 +42,14 @@ let class_cycles agg =
       | None -> Right c)
     Profile.categories
 
-let energy_cmd file =
+let energy file =
   with_trace file (fun agg ->
       match class_cycles agg with
       | [], _ ->
-        Format.eprintf
+        Cli.usage
           "%s: no profile.<class>.cycles counters — record the trace with \
-           `amulet_sim --profile --trace ...`@."
-          file;
-        1
+           `amulet sim --profile --trace ...`"
+          file
       | cats, missing ->
         let total_cycles = List.fold_left (fun a (_, c) -> a + c) 0 cats in
         let energies = Energy.per_category cats in
@@ -112,22 +99,20 @@ let energy_cmd file =
 
 open Cmdliner
 
-let file_arg =
+let file =
   Arg.(
     required
     & pos 0 (some string) None
     & info [] ~docv:"TRACE" ~doc:"Trace file (Chrome JSON or JSONL).")
 
-let report =
-  let doc = "aggregate a trace into per-span/counter statistics" in
-  Cmd.v (Cmd.info "report" ~doc) Term.(const report_cmd $ file_arg)
-
-let energy =
-  let doc = "attribute energy to PC classes from a profiled trace" in
-  Cmd.v (Cmd.info "energy" ~doc) Term.(const energy_cmd $ file_arg)
-
 let cmd =
-  let doc = "inspect amulet_sim execution traces" in
-  Cmd.group (Cmd.info "amulet_prof" ~doc) [ report; energy ]
-
-let () = exit (Cmd.eval' cmd)
+  Cmd.group
+    (Cmd.info "prof" ~doc:"inspect amulet sim execution traces")
+    [
+      Cli.cmd "report"
+        ~doc:"aggregate a trace into per-span/counter statistics"
+        Term.(const report $ file);
+      Cli.cmd "energy"
+        ~doc:"attribute energy to PC classes from a profiled trace"
+        Term.(const energy $ file);
+    ]

@@ -1,4 +1,4 @@
-(* amulet_prove: discharge the write-containment proof obligations.
+(* amulet prove: discharge the write-containment proof obligations.
 
    Runs the k-induction engine over the abstract transition system for
    every obligation in the matrix (optionally restricted by mode),
@@ -16,14 +16,6 @@ module Lemmas = Amulet_proof.Lemmas
 module Replay = Amulet_proof.Replay
 module Proofcheck = Amulet_sec.Proofcheck
 module J = Amulet_obs.Json
-
-let mode_conv =
-  let parse s =
-    match Iso.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg "expected one of: none, amuletc, software, mpu")
-  in
-  Cmdliner.Arg.conv (parse, fun ppf m -> Format.fprintf ppf "%s" (Iso.name m))
 
 (* ------------------------------------------------------------------ *)
 (* Per-obligation record: verdict plus (for refutations) the replay.   *)
@@ -172,7 +164,7 @@ let json_of_crosscheck (r : Proofcheck.row) =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let run_cmd modes k_max no_replay no_crosscheck lemmas traces json_out list =
+let run modes k_max no_replay no_crosscheck lemmas traces json_out list () =
   if list then begin
     List.iter
       (fun (ob : Ob.obligation) ->
@@ -256,22 +248,13 @@ let run_cmd modes k_max no_replay no_crosscheck lemmas traces json_out list =
             ("ok", J.Bool ok);
           ]
       in
-      let oc = open_out path in
-      output_string oc (J.to_string doc);
-      output_char oc '\n';
-      close_out oc;
+      Cli.write_json path doc;
       Format.printf "proof report written to %s@." path);
     Format.printf "%s@." (if ok then "all obligations discharged" else "FAILED");
     if ok then 0 else 1
   end
 
 open Cmdliner
-
-let modes_arg =
-  Arg.(
-    value & opt_all mode_conv []
-    & info [ "m"; "mode" ] ~docv:"MODE"
-        ~doc:"Restrict to one isolation mode (repeatable; default all four).")
 
 let k_max_arg =
   Arg.(
@@ -317,11 +300,10 @@ let list_arg =
     value & flag & info [ "list" ] ~doc:"List the obligation matrix and exit.")
 
 let cmd =
-  let doc = "discharge the write-containment proof obligations" in
-  Cmd.v
-    (Cmd.info "amulet_prove" ~doc)
+  Cli.cmd "prove" ~doc:"discharge the write-containment proof obligations"
     Term.(
-      const run_cmd $ modes_arg $ k_max_arg $ no_replay_arg $ no_crosscheck_arg
-      $ lemmas_arg $ traces_arg $ json_arg $ list_arg)
-
-let () = exit (Cmd.eval' cmd)
+      const run
+      $ Cli.modes
+          ~doc:"Restrict to one isolation mode (repeatable; default all four)."
+      $ k_max_arg $ no_replay_arg $ no_crosscheck_arg $ lemmas_arg $ traces_arg
+      $ json_arg $ list_arg)

@@ -166,3 +166,88 @@ let instants t =
 
 let faults t = List.rev t.fault_list
 let fault_count t = t.fault_total
+
+(* ------------------------------------------------------------------ *)
+(* Reading a trace file *)
+
+(* A JSONL trace is folded line by line in constant memory.  When the
+   first record line does not parse on its own the input is a Chrome
+   document (possibly spread over many lines) and is parsed whole. *)
+let of_channel ic =
+  let t = create () in
+  let whole_document first =
+    let text = first ^ "\n" ^ In_channel.input_all ic in
+    List.iter (add t) (Obs.records_of_string text)
+  in
+  let rec stream line =
+    match input_line ic with
+    | exception End_of_file -> ()
+    | text -> (
+      let trimmed = String.trim text in
+      if trimmed = "" then stream (line + 1)
+      else
+        match Obs.jsonl_record ~line trimmed with
+        | Some r ->
+          add t r;
+          stream (line + 1)
+        | None when t.nrecords > 0 ->
+          let msg = Printf.sprintf "line %d: not a trace record" line in
+          raise (Json.Parse_error msg)
+        | None -> whole_document text
+        | exception Json.Parse_error _ when t.nrecords = 0 ->
+          whole_document text)
+  in
+  stream 1;
+  t
+
+(* ------------------------------------------------------------------ *)
+(* Reporting *)
+
+let pp ppf agg =
+  Format.fprintf ppf "%d records" (records agg);
+  (match time_range agg with
+  | Some (lo, hi) ->
+    Format.fprintf ppf ", cycles %d..%d (%d elapsed)" lo hi (hi - lo)
+  | None -> ());
+  Format.fprintf ppf "@.";
+  let spans =
+    spans agg
+    |> List.sort (fun (_, a) (_, b) -> compare (Hist.sum b) (Hist.sum a))
+  in
+  if spans <> [] then begin
+    Format.fprintf ppf "@.spans (by total cycles):@.";
+    Format.fprintf ppf "  %-12s %-24s %8s %12s %10s %8s %8s %10s@." "category"
+      "name" "count" "total" "avg" "p50" "p99" "max";
+    List.iter
+      (fun ((cat, name), h) ->
+        Format.fprintf ppf "  %-12s %-24s %8d %12d %10.1f %8d %8d %10d@." cat
+          name (Hist.count h) (Hist.sum h) (Hist.mean h) (Hist.quantile h 0.5)
+          (Hist.quantile h 0.99) (Hist.max_value h))
+      spans
+  end;
+  let counters = counters agg in
+  if counters <> [] then begin
+    Format.fprintf ppf "@.counters:@.";
+    List.iter
+      (fun (name, c) ->
+        Format.fprintf ppf "  %-24s max %d, final %d, p50 %d, p99 %d@." name
+          c.c_max c.c_last
+          (Hist.quantile c.c_hist 0.5)
+          (Hist.quantile c.c_hist 0.99))
+      counters
+  end;
+  let instants = instants agg in
+  if instants <> [] then begin
+    Format.fprintf ppf "@.instants:@.";
+    List.iter
+      (fun ((cat, name), count) ->
+        Format.fprintf ppf "  %-12s %-24s %8d@." cat name count)
+      instants
+  end;
+  List.iter
+    (fun (ts, msg) -> Format.fprintf ppf "@.FAULT at cycle %d: %s@." ts msg)
+    (faults agg);
+  if fault_count agg > fault_cap then
+    Format.fprintf ppf "@.(%d further faults beyond the %d retained)@."
+      (fault_count agg - fault_cap)
+      fault_cap

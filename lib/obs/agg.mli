@@ -62,3 +62,17 @@ val faults : t -> (int * string) list
 
 val fault_count : t -> int
 (** Total fault instants seen, including those beyond the cap. *)
+
+(** {1 Trace files} *)
+
+val of_channel : in_channel -> t
+(** Aggregate a trace file in either format the sinks write.  JSONL is
+    folded line by line in constant memory; a Chrome document is
+    parsed whole.
+    @raise Json.Parse_error on malformed input; for JSONL the message
+    names the 1-based line. *)
+
+val pp : Format.formatter -> t -> unit
+(** Span statistics (count/total/avg/p50/p99/max per name), counter
+    maxima and finals, instant counts, and every retained fault
+    instant with its message. *)

@@ -163,6 +163,41 @@ let jsonl_sink oc = jsonl_of_writer (channel_writer oc)
 let chrome_buffer_sink buf = chrome_of_writer (buffer_writer buf)
 let jsonl_buffer_sink buf = jsonl_of_writer (buffer_writer buf)
 
+(* Reading back: a Chrome document ({"traceEvents":[...]} or a bare
+   array) or a JSONL stream.  A JSONL line that does not parse raises
+   [Json.Parse_error] naming its 1-based line number. *)
+
+let records_of_document j =
+  let arr =
+    match Json.member "traceEvents" j with
+    | Some (Json.Arr xs) -> xs
+    | _ -> ( match j with Json.Arr xs -> xs | _ -> [ j ])
+  in
+  List.filter_map record_of_json arr
+
+let jsonl_record ~line text =
+  match Json.parse text with
+  | j -> record_of_json j
+  | exception Json.Parse_error msg ->
+    raise (Json.Parse_error (Printf.sprintf "line %d: %s" line msg))
+
+let records_of_string text =
+  let trimmed = String.trim text in
+  let jsonl () =
+    String.split_on_char '\n' text
+    |> List.mapi (fun i l -> (i + 1, String.trim l))
+    |> List.filter_map (fun (line, l) ->
+           if l = "" then None else jsonl_record ~line l)
+  in
+  if trimmed = "" then []
+  else if trimmed.[0] = '[' then records_of_document (Json.parse trimmed)
+  else
+    (* one Chrome document, or a JSONL stream (which fails to parse as
+       a single value) *)
+    match Json.parse trimmed with
+    | j -> records_of_document j
+    | exception Json.Parse_error _ -> jsonl ()
+
 let pp_args ppf args =
   List.iter
     (fun (k, v) ->
@@ -217,7 +252,7 @@ let counter t ~name ~ts value = emit t (Counter { name; ts; value })
 (* Publish the profiler's cumulative per-category cycle totals as
    counters, so energy attribution can be recovered from any trace.
    A no-op without a profiler, and sinkless emission costs nothing —
-   the zero-overhead-when-off bench assertions cover both. *)
+   the zero-overhead-when-off obs tests cover both. *)
 let emit_profile_counters t ~ts =
   match t.prof with
   | None -> ()

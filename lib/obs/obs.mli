@@ -8,7 +8,7 @@
 
     The whole subsystem is host-side: attaching it never charges
     simulated cycles, so cycle counts with and without tracing are
-    identical (asserted by the bench suite). *)
+    identical (asserted by the obs tests). *)
 
 type value = Vint of int | Vstr of string
 
@@ -54,6 +54,17 @@ val jsonl_sink : out_channel -> sink
 
 val chrome_buffer_sink : Buffer.t -> sink
 val jsonl_buffer_sink : Buffer.t -> sink
+
+val jsonl_record : line:int -> string -> record option
+(** One JSONL line; [None] for a parseable non-record.
+    @raise Json.Parse_error naming [line] when the text does not
+    parse. *)
+
+val records_of_string : string -> record list
+(** Parse a trace in either format the sinks write; unknown records
+    are skipped.
+    @raise Json.Parse_error on malformed input, naming the 1-based line
+    for JSONL. *)
 
 val console_sink : Format.formatter -> sink
 (** Human-readable line per record. *)

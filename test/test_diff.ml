@@ -390,6 +390,46 @@ let corpus_lockstep_mode mode () =
           (Mem.equal fast.Kernel.machine.M.mem slow.Kernel.machine.M.mem))
     Attacks.corpus
 
+(* Predecode cache invisibility: the same pedometer run three ways —
+   hooks-off with a warm block cache, under the reference stepper (a
+   no-op watcher armed), and hooks-off with the cache dropped every
+   100 virtual ms so every block decodes cold.  A decoder that charged
+   cycles or perturbed state would show up as a difference in cycles,
+   dispatch records or console. *)
+
+let predecode_identity () =
+  let module Apps = Amulet_apps.Suite in
+  let mode = Iso.Mpu_assisted in
+  let mk () =
+    Kernel.create ~scenario:Amulet_os.Sensors.Walking
+      (Amulet_aft.Aft.build ~mode
+         [ Apps.spec_for mode (Apps.find "pedometer") ])
+  in
+  (* 5 virtual s in 100 ms slices: [run_for_ms] composes exactly *)
+  let run ?(between = ignore) k =
+    let records = ref [] in
+    for _ = 1 to 50 do
+      between k;
+      records := List.rev_append (Kernel.run_for_ms k 100) !records
+    done;
+    ( M.cycles k.Kernel.machine,
+      List.rev !records,
+      M.console_contents k.Kernel.machine )
+  in
+  let warm_cycles, warm_records, warm_console = run (mk ()) in
+  let check label (cycles, records, console) =
+    Alcotest.(check int) (label ^ ": cycles") warm_cycles cycles;
+    Alcotest.(check bool)
+      (label ^ ": dispatch records") true (records = warm_records);
+    Alcotest.(check string) (label ^ ": console") warm_console console
+  in
+  let slow = mk () in
+  M.add_watch slow.Kernel.machine (fun _ -> ());
+  check "reference stepper" (run slow);
+  check "cold cache"
+    (run ~between:(fun k -> Hashtbl.reset k.Kernel.machine.M.blocks) (mk ()));
+  Alcotest.(check bool) "dispatches happened" true (warm_records <> [])
+
 let () =
   let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(fresh_rand ()) t in
   Alcotest.run "diff"
@@ -422,5 +462,9 @@ let () =
               Alcotest.test_case
                 ("attack corpus (" ^ Iso.name mode ^ ")")
                 `Quick (corpus_lockstep_mode mode))
-            Iso.all );
+            Iso.all
+        @ [
+            Alcotest.test_case "predecode warm, cold and reference agree"
+              `Quick predecode_identity;
+          ] );
     ]

@@ -268,7 +268,7 @@ let test_lint_suite_clean () =
     (List.length r.An.Lint.l_apps)
 
 (* An image with no app sections must produce an explicit error, not a
-   vacuous pass — same contract the amulet_verify CLI enforces. *)
+   vacuous pass — same contract the amulet verify CLI enforces. *)
 let test_lint_zero_apps () =
   let mode = Iso.Mpu_assisted in
   let fw = Aft.build ~mode [] in
@@ -303,7 +303,7 @@ let test_lint_notes_stamped () =
     (I.note fw'.Aft.fw_image "cert.gates.gateheavy" = None)
 
 (* ------------------------------------------------------------------ *)
-(* amulet_objdump --cfg prints the reconstructed graph for an example *)
+(* amulet objdump --cfg prints the reconstructed graph for an example *)
 
 let contains s sub =
   let n = String.length sub in
@@ -319,7 +319,7 @@ let locate candidates =
 
 let test_objdump_cfg () =
   let exe =
-    locate [ "../bin/amulet_objdump.exe"; "_build/default/bin/amulet_objdump.exe" ]
+    locate [ "../bin/amulet.exe"; "_build/default/bin/amulet.exe" ]
   in
   let example =
     locate
@@ -327,7 +327,7 @@ let test_objdump_cfg () =
   in
   let tmp = Filename.temp_file "cfg" ".out" in
   let cmd =
-    Filename.quote_command exe [ "--cfg"; "-m"; "mpu"; example ]
+    Filename.quote_command exe [ "objdump"; "--cfg"; "-m"; "mpu"; example ]
     ^ " > " ^ Filename.quote tmp ^ " 2>&1"
   in
   let rc = Sys.command cmd in

@@ -8,7 +8,6 @@ module M = Amulet_mcu.Machine
 module Obs = Amulet_obs.Obs
 module Json = Amulet_obs.Json
 module Profile = Amulet_obs.Profile
-module Summary = Amulet_obs.Summary
 module Forensics = Amulet_obs.Forensics
 
 let check_int = Alcotest.(check int)
@@ -81,7 +80,7 @@ let test_sink_roundtrip () =
     let sink = make_sink buf in
     List.iter sink.Obs.output sample_records;
     sink.Obs.close ();
-    Summary.of_string (Buffer.contents buf)
+    Obs.records_of_string (Buffer.contents buf)
   in
   Alcotest.(check bool)
     "chrome round-trip" true
@@ -139,6 +138,11 @@ let test_profiler_no_isolation_has_no_guards () =
 module Agg = Amulet_obs.Agg
 module Hist = Amulet_obs.Hist
 
+let aggregate records =
+  let agg = Agg.create () in
+  List.iter (Agg.add agg) records;
+  agg
+
 let collect_records ~mode =
   let fw = Aft.build ~mode [ { Aft.name = "counter"; source = counter_app } ] in
   let obs = Obs.create () in
@@ -153,7 +157,7 @@ let collect_records ~mode =
 let test_agg_partition_merge () =
   let records = collect_records ~mode:Iso.Mpu_assisted in
   check_bool "run produced records" true (List.length records > 50);
-  let whole = Summary.aggregate records in
+  let whole = aggregate records in
   let shards = Array.init 3 (fun _ -> Agg.create ()) in
   List.iteri (fun i r -> Agg.add shards.(i mod 3) r) records;
   let merged =
@@ -184,7 +188,7 @@ let test_agg_partition_merge () =
    single-aggregate ground truth for the same underlying records *)
 let test_agg_percentiles_survive_merge () =
   let records = collect_records ~mode:Iso.Software_only in
-  let whole = Summary.aggregate records in
+  let whole = aggregate records in
   let a = Agg.create () and b = Agg.create () in
   List.iteri (fun i r -> Agg.add (if i mod 2 = 0 then a else b) r) records;
   let merged = Agg.merge a b in
@@ -227,6 +231,95 @@ let test_agg_profile_counters () =
       | None ->
         Alcotest.failf "no %s counter in trace" (Profile.category_slug c))
     (Profile.totals p)
+
+(* A JSONL trace whose line 40 was cut short: the streaming reader
+   must name that line, not just report trailing garbage. *)
+let test_agg_truncated_jsonl_line () =
+  let records = collect_records ~mode:Iso.Mpu_assisted in
+  check_bool "enough records" true (List.length records > 60);
+  let buf = Buffer.create 4096 in
+  let sink = Obs.jsonl_buffer_sink buf in
+  List.iter sink.Obs.output records;
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  let cut =
+    List.mapi
+      (fun i l -> if i = 39 then String.sub l 0 (String.length l / 2) else l)
+      lines
+  in
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.concat "\n" cut));
+  let result =
+    In_channel.with_open_bin path (fun ic ->
+        match Agg.of_channel ic with
+        | _ -> Ok ()
+        | exception Json.Parse_error msg -> Error msg)
+  in
+  Sys.remove path;
+  match result with
+  | Ok () -> Alcotest.fail "truncated line accepted"
+  | Error msg -> check_contains "located error" "line 40:" msg
+
+(* ------------------------------------------------------------------ *)
+(* Zero cost: tracing and telemetry are host-side, so a run's
+   simulated cycles are the same bare, with a sinkless context, fully
+   traced (JSONL sink + profiler), and aggregated (Agg sink +
+   profiler, which also arms the per-dispatch energy counters).  The
+   profiler accounts for every cycle and the energy counters agree
+   with it. *)
+
+let pedometer_kernel ?obs ?(profile = false) () =
+  let module Apps = Amulet_apps.Suite in
+  let mode = Iso.Mpu_assisted in
+  let fw = Aft.build ~mode [ Apps.spec_for mode (Apps.find "pedometer") ] in
+  if profile then Option.iter (fun obs -> Obs.enable_profile obs fw) obs;
+  Os.Kernel.create ~scenario:Os.Sensors.Walking ?obs fw
+
+let run_5s k =
+  let _ = Os.Kernel.run_for_ms k 5_000 in
+  M.cycles k.Os.Kernel.machine
+
+let profile_report obs k =
+  match Obs.profile obs with
+  | Some p -> Profile.report p ~machine:k.Os.Kernel.machine
+  | None -> Alcotest.fail "no profiler"
+
+let test_tracing_zero_cost () =
+  let bare = run_5s (pedometer_kernel ()) in
+  let plain = Obs.create () in
+  let attached = run_5s (pedometer_kernel ~obs:plain ()) in
+  Obs.close plain;
+  let traced_obs = Obs.create () in
+  let buf = Buffer.create 65536 in
+  Obs.add_sink traced_obs (Obs.jsonl_buffer_sink buf);
+  let traced_k = pedometer_kernel ~obs:traced_obs ~profile:true () in
+  let traced = run_5s traced_k in
+  Obs.close traced_obs;
+  let agg_obs = Obs.create () in
+  let agg = Agg.create () in
+  Obs.add_sink agg_obs (Agg.sink agg);
+  let agg_k = pedometer_kernel ~obs:agg_obs ~profile:true () in
+  let aggregated = run_5s agg_k in
+  Obs.close agg_obs;
+  check_int "sinkless context" bare attached;
+  check_int "fully traced" bare traced;
+  check_int "agg sink + energy counters" bare aggregated;
+  check_bool "trace captured records" true (Buffer.length buf > 0);
+  let r = profile_report traced_obs traced_k in
+  check_int "profiler classifies every cycle" r.Profile.r_machine
+    r.Profile.r_total;
+  Alcotest.(check string)
+    "agg sink leaves the profiler report byte-identical"
+    (Format.asprintf "%a" Profile.pp_report r)
+    (Format.asprintf "%a" Profile.pp_report (profile_report agg_obs agg_k));
+  check_bool "agg saw dispatch spans" true (Agg.spans agg <> []);
+  let p = match Obs.profile agg_obs with Some p -> p | None -> assert false in
+  match Agg.counter agg (Profile.counter_name Profile.App_code) with
+  | Some c ->
+    check_int "energy counter matches the profiler"
+      (List.assoc Profile.App_code (Profile.totals p))
+      c.Agg.c_last
+  | None -> Alcotest.fail "no per-class energy counters in the trace"
 
 (* ------------------------------------------------------------------ *)
 (* Forensics *)
@@ -324,6 +417,13 @@ let () =
             test_agg_percentiles_survive_merge;
           Alcotest.test_case "profile counters in trace" `Quick
             test_agg_profile_counters;
+          Alcotest.test_case "truncated JSONL line located" `Quick
+            test_agg_truncated_jsonl_line;
+        ] );
+      ( "zero-cost",
+        [
+          Alcotest.test_case "tracing and telemetry cost zero cycles" `Quick
+            test_tracing_zero_cost;
         ] );
       ( "forensics",
         [

@@ -307,8 +307,53 @@ let test_injector_mpu_raw_replay () =
   Alcotest.(check bool) "different seed, different register file" true
     (d1 <> d3)
 
+(* An injector armed with an empty schedule must cost nothing: the
+   same cycle total and a byte-identical profiler report as a run
+   without it, while still observing every instruction. *)
+let test_injector_idle_zero_cost () =
+  let module Apps = Amulet_apps.Suite in
+  let module Obs = Amulet_obs.Obs in
+  let module Profile = Amulet_obs.Profile in
+  let mode = Iso.Mpu_assisted in
+  let run ~armed =
+    let fw = Aft.build ~mode [ Apps.spec_for mode (Apps.find "pedometer") ] in
+    let obs = Obs.create () in
+    Obs.enable_profile obs fw;
+    let k = Kernel.create ~scenario:Amulet_os.Sensors.Walking ~obs fw in
+    let inj =
+      if armed then
+        Some
+          (Inject.arm
+             (Inject.plan ~seed:7 ~flips:0 ~window:(0, 1) Inject.Regs)
+             k.Kernel.machine)
+      else None
+    in
+    let _ = Kernel.run_for_ms k 5_000 in
+    let report =
+      match Obs.profile obs with
+      | Some p ->
+        Format.asprintf "%a" Profile.pp_report
+          (Profile.report p ~machine:k.Kernel.machine)
+      | None -> Alcotest.fail "no profiler"
+    in
+    Obs.close obs;
+    Option.iter
+      (fun inj ->
+        Alcotest.(check int) "idle injector applied no flip" 0
+          (Inject.flips_done inj);
+        Alcotest.(check bool) "armed injector observed instructions" true
+          (Inject.steps inj > 0))
+      inj;
+    (Amulet_mcu.Machine.cycles k.Kernel.machine, report)
+  in
+  let bare_cycles, bare_report = run ~armed:false in
+  let armed_cycles, armed_report = run ~armed:true in
+  Alcotest.(check int) "same cycle total" bare_cycles armed_cycles;
+  Alcotest.(check string) "byte-identical profiler report" bare_report
+    armed_report
+
 (* ------------------------------------------------------------------ *)
-(* Kernel integrity probes used by the campaign and amulet_sim. *)
+(* Kernel integrity probes used by the campaign and amulet sim. *)
 
 let benign_fw mode =
   let module Apps = Amulet_apps.Suite in
@@ -419,6 +464,8 @@ let () =
             test_injector_plan_reproducible;
           Alcotest.test_case "mpu raw flips replay" `Quick
             test_injector_mpu_raw_replay;
+          Alcotest.test_case "idle injector costs zero" `Quick
+            test_injector_idle_zero_cost;
         ] );
       ( "kernel-probes",
         [

@@ -140,14 +140,13 @@ let test_unknown_prefix () =
 
 (* resolve relative to the runtest cwd (the test directory) or the
    project root, whichever exists, so [dune exec] also works *)
-let verify_exe =
-  let candidates =
-    [ "../bin/amulet_verify.exe"; "_build/default/bin/amulet_verify.exe" ]
-  in
+let amulet_exe =
+  let candidates = [ "../bin/amulet.exe"; "_build/default/bin/amulet.exe" ] in
   try List.find Sys.file_exists candidates with Not_found -> List.hd candidates
 
 let run_cli args =
-  Sys.command (Filename.quote_command verify_exe args ^ " >/dev/null 2>&1")
+  Sys.command
+    (Filename.quote_command amulet_exe ("verify" :: args) ^ " >/dev/null 2>&1")
 
 let test_cli_zero_apps () =
   Alcotest.(check bool) "no apps: non-zero exit" true (run_cli [] <> 0);
