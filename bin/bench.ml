@@ -63,7 +63,9 @@ let compare_and_report ~path ~current ~baseline ~threshold ~rate_threshold =
 let run_bench quick trials dispatches warmup modes out compare threshold
     rate_threshold () =
   let modes = if modes = [] then Iso.all else modes in
-  let doc, _runs = Runner.run ~modes ?trials ?dispatches ?warmup ~quick () in
+  let doc =
+    Runner.run ~modes ?trials ?dispatches ?warmup ~armed:true ~quick ()
+  in
   Format.printf "%a" Runner.pp_doc doc;
   write_snapshot out doc;
   let regressed =
@@ -97,8 +99,8 @@ let speedup baseline_path min_ratio quick trials dispatches warmup modes out
     () =
   let modes = if modes = [] then [ Iso.No_isolation ] else modes in
   let baseline = read_baseline baseline_path in
-  let doc, _runs =
-    Runner.run_speedup ~modes ?trials ?dispatches ?warmup ~quick ()
+  let doc =
+    Runner.run ~modes ?trials ?dispatches ?warmup ~armed:false ~quick ()
   in
   Format.printf "%a" Runner.pp_doc doc;
   write_snapshot out doc;

@@ -199,9 +199,9 @@ let dump_disasm fw os_too =
     fw.Aft.fw_layout.Amulet_aft.Layout.apps;
   0
 
-let run mode os_too cfg json apps () =
+let run mode os_too cfg format apps () =
   let fw = Cli.build mode apps in
-  if cfg then dump_cfg fw mode json else dump_disasm fw os_too
+  if cfg then dump_cfg fw mode (format = `Json) else dump_disasm fw os_too
 
 open Cmdliner
 
@@ -214,17 +214,10 @@ let cfg_arg =
     & info [ "cfg" ]
         ~doc:
           "Print each app's reconstructed control-flow graph (basic blocks \
-           with cycle counts and successors) instead of the disassembly.")
-
-let json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "With $(b,--cfg): emit the graph as JSON (blocks with cycle \
-           counts, loop headers, back edges and stamped iteration bounds) \
-           instead of text.")
+           with cycle counts and successors) instead of the disassembly; \
+           with $(b,--format json), as JSON (blocks with cycle counts, loop \
+           headers, back edges and stamped iteration bounds).")
 
 let cmd =
   Cli.cmd "objdump" ~doc:"disassemble a built firmware image"
-    Term.(const run $ Cli.mode $ os_arg $ cfg_arg $ json_arg $ Cli.apps)
+    Term.(const run $ Cli.mode $ os_arg $ cfg_arg $ Cli.format $ Cli.apps)

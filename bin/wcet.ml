@@ -14,7 +14,6 @@
 module Iso = Amulet_cc.Isolation
 module Aft = Amulet_aft.Aft
 module Lint = Amulet_analysis.Lint
-module Cfi = Amulet_analysis.Cfi
 module Wcet = Amulet_analysis.Wcet
 module Energy = Amulet_arp.Energy
 module J = Amulet_obs.Json
@@ -41,12 +40,11 @@ type app_row = {
 }
 
 let analyze_app ~image ~mode ~rate prefix =
-  match Cfi.reconstruct ~image ~mode ~prefix with
+  match Lint.wcet_chain ~image ~mode ~prefix with
   | Error _ ->
     { app = prefix; wcet = None; rows = []; total_impact = 0.0;
       all_bounded = false }
-  | Ok cfg ->
-    let w = Wcet.analyze ~image ~cfg in
+  | Ok w ->
     let rows =
       List.map
         (fun (h : Wcet.handler_bound) ->

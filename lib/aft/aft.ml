@@ -136,25 +136,6 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
     try Amulet_link.Linker.link ~entry:"__os_start" sections
     with Amulet_link.Linker.Error m -> errf "link: %s" m
   in
-  (* post-link certification: stamp the services whose gate-pointer
-     validation is statically redundant into the image, where the
-     kernel's gate table picks them up *)
-  let image =
-    if not certify then image
-    else
-      Amulet_link.Image.with_notes image
-        (List.filter_map
-           (fun spec ->
-             match
-               Amulet_analysis.Lint.certified_gates ~image ~mode
-                 ~prefix:spec.name
-             with
-             | [] -> None
-             | svcs ->
-               Some ("cert.gates." ^ spec.name, String.concat "," svcs))
-           specs
-        @ image.Amulet_link.Image.notes)
-  in
   (* stamp loop iteration bounds (app loops from the range analysis,
      runtime-helper loops from their fixed structure) so the binary
      WCET pass can bound back-edges without re-running the source
@@ -172,6 +153,22 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
       @ List.map
           (fun (label, b) -> ("wcet.loop." ^ label, string_of_int b))
           Amulet_cc.Runtime.loop_bounds)
+  in
+  (* post-link certification: run the gates chain per app and stamp
+     the services whose gate-pointer validation is statically
+     redundant into the image, where the kernel's gate table picks
+     them up *)
+  let image =
+    if not certify then image
+    else
+      Amulet_link.Image.with_notes image
+        (List.filter_map
+           (fun spec ->
+             Amulet_analysis.Gate_taint.note ~prefix:spec.name
+               (Amulet_analysis.Lint.certified_gates ~image ~mode
+                  ~prefix:spec.name))
+           specs
+        @ image.Amulet_link.Image.notes)
   in
   let apps =
     List.map2

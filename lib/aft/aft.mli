@@ -48,10 +48,13 @@ val build :
     [elide] (default true) runs the range analysis so codegen can drop
     guards at proven-safe dereference sites; pass [false] to measure
     the unoptimized check cost.
-    [certify] (default true) runs the static certifier post-link and
-    stamps [cert.gates.<app>] notes into the image so the kernel can
-    elide the dynamic gate-pointer validation for the certified
-    services; pass [false] to measure the uncertified gate cost.
+    [certify] (default true) runs {!Amulet_analysis.Lint}'s gates
+    chain per app post-link (after the [wcet.loop.*] notes are
+    stamped; no WCET pass runs here, and nothing runs under
+    [No_isolation]) and stamps [cert.gates.<app>] notes into the image
+    so the kernel can elide the dynamic gate-pointer validation for
+    the certified services; pass [false] to measure the uncertified
+    gate cost.
     @raise Build_error on name clashes or layout overflow;
     @raise Amulet_cc.Srcloc.Error on source-level errors. *)
 

@@ -135,45 +135,25 @@ let step regs (i : Cfi.insn) =
 let widen_limit = 8
 
 let fixpoint (f : Cfi.func) : (int, value array) Hashtbl.t =
-  let states : (int, value array) Hashtbl.t = Hashtbl.create 16 in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let work = Queue.create () in
   let block_of = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace block_of b.Cfi.b_addr b) f.Cfi.f_blocks;
-  let schedule a st =
-    match Hashtbl.find_opt states a with
-    | None ->
-      Hashtbl.replace states a st;
-      Queue.push a work
-    | Some old ->
-      let j = Array.init 16 (fun r -> join_value old.(r) st.(r)) in
-      if j <> old then begin
-        let c = Option.value ~default:0 (Hashtbl.find_opt counts a) + 1 in
-        Hashtbl.replace counts a c;
-        (* intervals can keep growing around a loop; past the limit,
-           degrade every still-changing register to Top *)
-        let j =
-          if c > widen_limit then
-            Array.init 16 (fun r -> if j.(r) = old.(r) then old.(r) else Top)
-          else j
-        in
-        if j <> old then begin
-          Hashtbl.replace states a j;
-          Queue.push a work
-        end
-      end
-  in
-  schedule f.Cfi.f_entry (Array.make 16 Top);
-  while not (Queue.is_empty work) do
-    let a = Queue.pop work in
-    match Hashtbl.find_opt block_of a with
-    | None -> ()
-    | Some b ->
-      let regs = Array.copy (Hashtbl.find states a) in
-      List.iter (fun i -> step regs i) b.Cfi.b_insns;
-      List.iter (fun (t, _) -> schedule t regs) b.Cfi.b_succs
-  done;
-  states
+  Worklist.solve
+    ~entries:[ (f.Cfi.f_entry, Array.make 16 Top) ]
+    ~join:(fun old st -> Array.init 16 (fun r -> join_value old.(r) st.(r)))
+    ~equal:( = )
+    ~widen:(fun _ ~count ~old j ->
+      (* intervals can keep growing around a loop; past the limit,
+         degrade every still-changing register to Top *)
+      if count > widen_limit then
+        Array.init 16 (fun r -> if j.(r) = old.(r) then old.(r) else Top)
+      else j)
+    ~transfer:(fun a st ->
+      match Hashtbl.find_opt block_of a with
+      | None -> []
+      | Some b ->
+        let regs = Array.copy st in
+        List.iter (fun i -> step regs i) b.Cfi.b_insns;
+        List.map (fun (t, _) -> (t, regs)) b.Cfi.b_succs)
 
 (* ------------------------------------------------------------------ *)
 (* Certification *)
@@ -320,6 +300,19 @@ let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) ~(image : I.t) =
     |> List.sort compare
   in
   { gt_sites = sites; gt_certified = certified }
+
+(* The image note that carries an app's certified services from the
+   AFT to its consumers (the kernel's gate table, the WCET pass). *)
+let note_key prefix = "cert.gates." ^ prefix
+
+let note ~prefix = function
+  | [] -> None
+  | svcs -> Some (note_key prefix, String.concat "," svcs)
+
+let stamped image ~prefix =
+  match I.note image (note_key prefix) with
+  | Some s -> String.split_on_char ',' s
+  | None -> []
 
 let pp_site ppf s =
   Format.fprintf ppf "%04X %s: %s %s — %s" s.gs_addr s.gs_fn s.gs_service

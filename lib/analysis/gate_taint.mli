@@ -35,4 +35,12 @@ val analyze :
 (** @raise Invalid_argument when the image lacks the app's
     data-section bound symbols. *)
 
+val note : prefix:string -> string list -> (string * string) option
+(** The [cert.gates.<prefix>] image note recording [prefix]'s certified
+    services (comma-separated); [None] when the list is empty. *)
+
+val stamped : Amulet_link.Image.t -> prefix:string -> string list
+(** The services the image's [cert.gates.<prefix>] note certifies;
+    empty when the image carries no such note. *)
+
 val pp_site : Format.formatter -> site -> unit

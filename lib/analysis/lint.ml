@@ -1,18 +1,23 @@
 (* Whole-image static certifier.
 
    Runs every analysis this library offers — the SFI verifier, CFI
-   reconstruction, the binary stack bound and gate-argument provenance
-   — over each app code section of a linked firmware image and folds
-   the outcomes into one diagnostic report (rendered human-readable or
-   as JSON by [bin/amulet_lint]).
+   reconstruction, the binary stack bound, gate-argument provenance
+   and the WCET bound — over each app code section of a linked
+   firmware image and folds the outcomes into one diagnostic report
+   (rendered human-readable or as JSON by [amulet lint]).
 
-   [certified_gates] distills the report into the list of services
-   whose dynamic gate-pointer validation the kernel may elide for an
-   app: that elision is sound only when the code the analyses looked
-   at is the code that runs, so it additionally requires the CFI proof
-   and a mode that keeps app code immutable (everything except
-   No_isolation, where an unchecked wild store could rewrite the
-   certified instructions). *)
+   This module is the only place that orders the binary passes, as
+   two chains:
+
+   - gates: SFI ∧ CFI → Stackcert → Gate_taint.  Its verdict is the
+     list of services whose dynamic gate-pointer validation the kernel
+     may elide for an app.  That elision is sound only when the code
+     the analyses looked at is the code that runs, so it requires a
+     passing SFI verdict, the CFI proof and a mode that keeps app code
+     immutable (everything except No_isolation, where an unchecked
+     wild store could rewrite the certified instructions).
+   - wcet: CFI → Wcet, run on the image the AFT finished stamping (the
+     pass reads its [wcet.loop.*] and [cert.gates.*] notes). *)
 
 module I = Amulet_link.Image
 module Iso = Amulet_cc.Isolation
@@ -65,26 +70,62 @@ let apps_of (image : I.t) =
 
 let severity_name = function Note -> "note" | Warn -> "warning" | Error -> "error"
 
-let lint_app ~image ~mode prefix =
-  let sfi = Verifier.verify_app ~image ~mode ~prefix in
-  let cfi = Cfi.reconstruct ~image ~mode ~prefix in
-  let stack, gates =
-    match cfi with
-    | Error _ -> (None, None)
-    | Ok cfg ->
-      let st = Stackcert.analyze ~cfg ~image in
-      (Some st.Stackcert.sc_verdict, Some (Gate_taint.analyze ~cfg ~stack:st ~image))
+type gates_chain = {
+  g_sfi : (Verifier.stats, Verifier.violation list) result Lazy.t;
+  g_cfi : (Cfi.t, Cfi.violation list) result Lazy.t;
+  g_stack : Stackcert.t option Lazy.t;
+  g_gates : Gate_taint.t option Lazy.t;
+  g_certified : string list Lazy.t;
+}
+
+(* Each stage runs when first forced: certification stops at the first
+   missing piece of evidence, while the lint report forces them all. *)
+let gates_chain ~image ~mode ~prefix =
+  let sfi = lazy (Verifier.verify_app ~image ~mode ~prefix) in
+  let cfi = lazy (Cfi.reconstruct ~image ~mode ~prefix) in
+  let stack =
+    lazy
+      (match Lazy.force cfi with
+      | Ok cfg -> Some (Stackcert.analyze ~cfg ~image)
+      | Error _ -> None)
   in
-  let wcet =
-    match cfi with
-    | Error _ -> None
-    | Ok cfg -> Some (Wcet.analyze ~image ~cfg)
+  let gates =
+    lazy
+      (match (Lazy.force cfi, Lazy.force stack) with
+      | Ok cfg, Some stack -> Some (Gate_taint.analyze ~cfg ~stack ~image)
+      | _ -> None)
   in
   let certified =
-    match (gates, cfi) with
-    | Some gt, Ok _ when mode <> Iso.No_isolation -> gt.Gate_taint.gt_certified
-    | _ -> []
+    lazy
+      (if mode = Iso.No_isolation then []
+       else
+         match (Lazy.force sfi, Lazy.force cfi) with
+         | Ok _, Ok _ -> (
+           match Lazy.force gates with
+           | Some gt -> gt.Gate_taint.gt_certified
+           | None -> [])
+         | _ -> [])
   in
+  { g_sfi = sfi; g_cfi = cfi; g_stack = stack; g_gates = gates;
+    g_certified = certified }
+
+let certified_gates ~image ~mode ~prefix =
+  Lazy.force (gates_chain ~image ~mode ~prefix).g_certified
+
+let wcet_of ~image = Result.map (fun cfg -> Wcet.analyze ~image ~cfg)
+
+let wcet_chain ~image ~mode ~prefix =
+  wcet_of ~image (Cfi.reconstruct ~image ~mode ~prefix)
+
+let lint_app ~image ~mode prefix =
+  let g = gates_chain ~image ~mode ~prefix in
+  let sfi = Lazy.force g.g_sfi and cfi = Lazy.force g.g_cfi in
+  let stack =
+    Option.map (fun st -> st.Stackcert.sc_verdict) (Lazy.force g.g_stack)
+  in
+  let gates = Lazy.force g.g_gates in
+  let certified = Lazy.force g.g_certified in
+  let wcet = Result.to_option (wcet_of ~image cfi) in
   let diags = ref [] in
   let diag ?addr pass severity message =
     diags :=
@@ -210,13 +251,6 @@ let run ~(image : I.t) ~mode ~apps =
     l_errors = count Error;
     l_warnings = count Warn;
   }
-
-(* Services whose gate-pointer validation the kernel may skip for
-   [prefix] — empty whenever any piece of the static evidence is
-   missing. *)
-let certified_gates ~image ~mode ~prefix =
-  match lint_app ~image ~mode prefix with
-  | { r_certified; _ }, _ -> r_certified
 
 let pp_diag ppf d =
   Format.fprintf ppf "%s%s: [%s/%s] %s"

@@ -108,37 +108,13 @@ let join (sp1, fp1) (sp2, fp2) =
 let widen_limit = 32
 
 let analyze_function (f : Cfi.func) : local =
-  let states : (int, int * (int option)) Hashtbl.t = Hashtbl.create 16 in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let work = Queue.create () in
   let block_of = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace block_of b.Cfi.b_addr b) f.Cfi.f_blocks;
-  let schedule a st =
-    match Hashtbl.find_opt states a with
-    | None ->
-      Hashtbl.replace states a st;
-      Queue.push a work
-    | Some old ->
-      let j = join old st in
-      if j <> old then begin
-        let c = Option.value ~default:0 (Hashtbl.find_opt counts a) + 1 in
-        Hashtbl.replace counts a c;
-        if c > widen_limit then
-          raise
-            (Unanalyzable_sp
-               (a, "stack depth does not converge (net growth in a loop)"));
-        Hashtbl.replace states a j;
-        Queue.push a work
-      end
-  in
   let maxd = ref 0 and sites = ref [] in
-  schedule f.Cfi.f_entry (0, None);
-  while not (Queue.is_empty work) do
-    let a = Queue.pop work in
+  let transfer a st =
     match Hashtbl.find_opt block_of a with
-    | None -> ()
+    | None -> []
     | Some b ->
-      let st = Hashtbl.find states a in
       let final =
         List.fold_left
           (fun st (i : Cfi.insn) ->
@@ -151,8 +127,17 @@ let analyze_function (f : Cfi.func) : local =
             st')
           st b.Cfi.b_insns
       in
-      List.iter (fun (t, _) -> schedule t final) b.Cfi.b_succs
-  done;
+      List.map (fun (t, _) -> (t, final)) b.Cfi.b_succs
+  in
+  ignore
+    (Worklist.solve ~entries:[ (f.Cfi.f_entry, (0, None)) ] ~join ~equal:( = )
+       ~widen:(fun a ~count ~old:_ j ->
+         if count > widen_limit then
+           raise
+             (Unanalyzable_sp
+                (a, "stack depth does not converge (net growth in a loop)"))
+         else j)
+       ~transfer);
   { l_max = !maxd; l_sites = List.rev !sites }
 
 (* ------------------------------------------------------------------ *)

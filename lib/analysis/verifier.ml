@@ -615,33 +615,21 @@ let verify_app ~(image : I.t) ~mode ~prefix =
       fetch = make_fetch image;
     }
   in
-  (* fixpoint over block-entry states *)
-  let states : (int, state) Hashtbl.t = Hashtbl.create 64 in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let work = Queue.create () in
-  let schedule a st =
-    match Hashtbl.find_opt states a with
-    | None ->
-      Hashtbl.replace states a st;
-      Queue.push a work
-    | Some old ->
-      let j = state_join old st in
-      if not (state_equal j old) then begin
-        let c = (Option.value ~default:0 (Hashtbl.find_opt counts a)) + 1 in
-        Hashtbl.replace counts a c;
-        Hashtbl.replace states a (if c > widen_limit then top_state () else j);
-        Queue.push a work
-      end
+  (* fixpoint over block-entry states; a block that keeps changing
+     past the limit restarts from the top state *)
+  let states =
+    Worklist.solve
+      ~entries:
+        (List.map
+           (fun a -> (a, top_state ()))
+           (entry_points image ~prefix ~code_lo ~code_hi))
+      ~join:state_join ~equal:state_equal
+      ~widen:(fun _ ~count ~old:_ j ->
+        if count > widen_limit then top_state () else j)
+      ~transfer:(fun a st ->
+        let succs, calls = run ctx st a in
+        succs @ List.map (fun t -> (t, top_state ())) calls)
   in
-  List.iter
-    (fun a -> schedule a (top_state ()))
-    (entry_points image ~prefix ~code_lo ~code_hi);
-  while not (Queue.is_empty work) do
-    let a = Queue.pop work in
-    let succs, calls = run ctx (Hashtbl.find states a) a in
-    List.iter (fun (t, st') -> schedule t st') succs;
-    List.iter (fun t -> schedule t (top_state ())) calls
-  done;
   (* final pass: replay every reached block and record the verdicts *)
   let r =
     {

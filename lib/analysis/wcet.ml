@@ -192,11 +192,7 @@ let analyze ~image ~(cfg : Cfi.t) =
   let prefix = cfg.Cfi.cf_prefix in
   let bounds = loop_bounds image in
   let fetch = Verifier.make_fetch image in
-  let certified =
-    match I.note image ("cert.gates." ^ prefix) with
-    | Some s -> String.split_on_char ',' s
-    | None -> []
-  in
+  let certified = Gate_taint.stamped image ~prefix in
   let helper_entries =
     List.filter_map
       (fun n ->

@@ -23,23 +23,42 @@ type mode_run = {
 let host_services_slug = "host_services"
 let hooks_off_suffix = "+hooks-off"
 
-let run_mode ?(warmup = 100) ~trials ~dispatches mode =
+(* One workload loop for both row kinds.  With [hooks] an Agg sink and
+   the cycle profiler are armed, which fills the handler-span
+   histogram and the per-class cycle split; without, the machine runs
+   on the predecoded-block fast path.  Simulated cycles and queue latencies
+   are identical either way — [run] asserts it — so the hooks-off rows
+   add only the host-side throughput of the fast engine. *)
+let run_mode ?(warmup = 100) ~hooks ~trials ~dispatches mode =
   let fw = Aft.build ~mode [ Apps.spec_for mode Apps.gateheavy ] in
-  let obs = Obs.create () in
-  let agg = Agg.create () in
-  Obs.add_sink obs (Agg.sink agg);
-  Obs.enable_profile obs fw;
-  let k = Os.Kernel.create ~scenario:Os.Sensors.Walking ~obs fw in
-  let _ = Os.Kernel.run_for_ms k 5 in
+  let armed =
+    if hooks then begin
+      let obs = Obs.create () in
+      let agg = Agg.create () in
+      Obs.add_sink obs (Agg.sink agg);
+      Obs.enable_profile obs fw;
+      Some (obs, agg)
+    end
+    else None
+  in
+  let k =
+    Os.Kernel.create ~scenario:Os.Sensors.Walking ?obs:(Option.map fst armed)
+      fw
+  in
+  let latency = Hist.create () in
+  let record (r : Os.Kernel.dispatch_record) =
+    Hist.record latency r.Os.Kernel.dr_latency
+  in
+  List.iter record (Os.Kernel.run_for_ms k 5);
   let m = k.Os.Kernel.machine in
   (* gateheavy is event-driven: run_for_ms alone would idle, so the
-     dispatch loop is driven explicitly, as the schema-1 snapshot did *)
+     dispatch loop is driven explicitly *)
   let post_button () =
     Os.Kernel.post k ~delay_ms:0 ~app:0 (Os.Event.Button 1) ~arg:1
   in
   let dispatch_once () =
     post_button ();
-    ignore (Os.Kernel.dispatch_next k)
+    Option.iter record (Os.Kernel.dispatch_next k)
   in
   (* keep a standing backlog so each event waits behind a few earlier
      handlers: dispatch latency is then the real (mode-dependent)
@@ -50,10 +69,10 @@ let run_mode ?(warmup = 100) ~trials ~dispatches mode =
   for _ = 1 to warmup do
     dispatch_once ()
   done;
-  let p =
-    match Obs.profile obs with Some p -> p | None -> assert false
+  let cats0 =
+    Option.bind armed (fun (obs, _) -> Obs.profile obs)
+    |> Option.map (fun p -> (p, Profile.totals p))
   in
-  let cats0 = Profile.totals p in
   let host0 = m.M.extra_cycles in
   let rates = Array.make trials 0.0 in
   let trial_cycles = Array.make trials 0 in
@@ -69,72 +88,29 @@ let run_mode ?(warmup = 100) ~trials ~dispatches mode =
     trial_cycles.(t) <- cyc
   done;
   let class_cycles =
-    List.map2
-      (fun (c, before) (c', after) ->
-        assert (c = c');
-        (Profile.category_slug c, after - before))
-      cats0 (Profile.totals p)
-    @ [ (host_services_slug, m.M.extra_cycles - host0) ]
+    match cats0 with
+    | Some (p, cats0) ->
+      List.map2
+        (fun (c, before) (c', after) ->
+          assert (c = c');
+          (Profile.category_slug c, after - before))
+        cats0 (Profile.totals p)
+      @ [ (host_services_slug, m.M.extra_cycles - host0) ]
+    | None -> []
   in
-  Obs.close obs;
+  Option.iter (fun (obs, _) -> Obs.close obs) armed;
   {
     mr_mode = mode;
     mr_rates = rates;
     mr_trial_cycles = trial_cycles;
-    mr_latency =
-      (match Agg.counter agg "dispatch_latency_cycles" with
-      | Some c -> c.Agg.c_hist
-      | None -> Hist.create ());
+    mr_latency = latency;
     mr_handler =
-      Option.value ~default:(Hist.create ())
-        (Agg.span_hist agg ~cat:"dispatch" ~name:"handle_button");
+      (match armed with
+      | Some (_, agg) ->
+        Option.value ~default:(Hist.create ())
+          (Agg.span_hist agg ~cat:"dispatch" ~name:"handle_button")
+      | None -> Hist.create ());
     mr_class_cycles = class_cycles;
-    mr_measured_dispatches = trials * dispatches;
-  }
-
-(* Same workload with no observability attached: the machine runs on
-   the predecoded-block fast path.  Simulated cycles per trial must be
-   byte-identical to the armed run — [run] asserts it — so the only
-   thing these rows add is the host-side throughput of the fast
-   engine. *)
-let run_mode_hooks_off ?(warmup = 100) ~trials ~dispatches mode =
-  let fw = Aft.build ~mode [ Apps.spec_for mode Apps.gateheavy ] in
-  let k = Os.Kernel.create ~scenario:Os.Sensors.Walking fw in
-  let _ = Os.Kernel.run_for_ms k 5 in
-  let m = k.Os.Kernel.machine in
-  let post_button () =
-    Os.Kernel.post k ~delay_ms:0 ~app:0 (Os.Event.Button 1) ~arg:1
-  in
-  let dispatch_once () =
-    post_button ();
-    ignore (Os.Kernel.dispatch_next k)
-  in
-  for _ = 1 to 4 do
-    post_button ()
-  done;
-  for _ = 1 to warmup do
-    dispatch_once ()
-  done;
-  let rates = Array.make trials 0.0 in
-  let trial_cycles = Array.make trials 0 in
-  for t = 0 to trials - 1 do
-    let c0 = M.cycles m in
-    let t0 = Sys.time () in
-    for _ = 1 to dispatches do
-      dispatch_once ()
-    done;
-    let host_s = max (Sys.time () -. t0) 1e-9 in
-    let cyc = M.cycles m - c0 in
-    rates.(t) <- float_of_int cyc /. host_s;
-    trial_cycles.(t) <- cyc
-  done;
-  {
-    mr_mode = mode;
-    mr_rates = rates;
-    mr_trial_cycles = trial_cycles;
-    mr_latency = Hist.create ();
-    mr_handler = Hist.create ();
-    mr_class_cycles = [];
     mr_measured_dispatches = trials * dispatches;
   }
 
@@ -158,12 +134,13 @@ let cycles_per_dispatch (r : mode_run) =
     *. float_of_int (Array.length r.mr_trial_cycles)
     /. float_of_int r.mr_measured_dispatches
 
-let mode_row (r : mode_run) =
-  let total_cycles =
-    List.fold_left (fun acc (_, c) -> acc + c) 0 r.mr_class_cycles
-  in
+(* Energy per dispatch is charged from the summed trial cycles: every
+   simulated cycle of the measured window, which is also the total of
+   the armed run's per-class split. *)
+let mode_row ~hooks (r : mode_run) =
   {
-    Schema.m_mode = Iso.name r.mr_mode;
+    Schema.m_mode =
+      (Iso.name r.mr_mode ^ if hooks then "" else hooks_off_suffix);
     m_rate =
       {
         Schema.r_summary = Stats.summarize r.mr_rates;
@@ -171,31 +148,16 @@ let mode_row (r : mode_run) =
       };
     m_cycles_per_dispatch = cycles_per_dispatch r;
     m_latency = Some r.mr_latency;
-    m_handler = Some r.mr_handler;
+    (* no profiler in a hooks-off run: the handler-span histogram and
+       the class breakdown are absent rather than empty-but-present *)
+    m_handler = (if hooks then Some r.mr_handler else None);
     m_class_cycles = r.mr_class_cycles;
     m_energy_per_dispatch_j =
       (if r.mr_measured_dispatches = 0 then None
        else
          Some
-           (Energy.joules_of_cycles total_cycles
+           (Energy.joules_of_cycles (Array.fold_left ( + ) 0 r.mr_trial_cycles)
             /. float_of_int r.mr_measured_dispatches));
-  }
-
-(* No profiler in a hooks-off run, so latency/handler histograms and
-   the class breakdown are absent rather than empty-but-present. *)
-let hooks_off_row (r : mode_run) =
-  {
-    Schema.m_mode = Iso.name r.mr_mode ^ hooks_off_suffix;
-    m_rate =
-      {
-        Schema.r_summary = Stats.summarize r.mr_rates;
-        r_trials = Array.to_list r.mr_rates;
-      };
-    m_cycles_per_dispatch = cycles_per_dispatch r;
-    m_latency = None;
-    m_handler = None;
-    m_class_cycles = [];
-    m_energy_per_dispatch_j = None;
   }
 
 let gate_costs ~runs () =
@@ -220,68 +182,63 @@ let gate_costs ~runs () =
   }
 
 (* The armed and hooks-off runs drive identical workloads, so their
-   simulated cycle trajectories must agree exactly: the fast engine is
-   not allowed to change what the machine computes, only how fast the
-   host gets there. *)
+   simulated cycle trajectories and queue latencies must agree
+   exactly: the fast engine is not allowed to change what the machine
+   computes, only how fast the host gets there. *)
 let assert_identity (armed : mode_run) (fast : mode_run) =
+  let ints a = String.concat ";" (List.map string_of_int (Array.to_list a)) in
   if armed.mr_trial_cycles <> fast.mr_trial_cycles then
     failwith
-      (Format.asprintf
+      (Printf.sprintf
          "predecode identity violated (%s): armed trial cycles [%s] <> \
           hooks-off [%s]"
          (Iso.name armed.mr_mode)
-         (String.concat ";"
-            (List.map string_of_int (Array.to_list armed.mr_trial_cycles)))
-         (String.concat ";"
-            (List.map string_of_int (Array.to_list fast.mr_trial_cycles))))
+         (ints armed.mr_trial_cycles)
+         (ints fast.mr_trial_cycles));
+  if not (Hist.equal armed.mr_latency fast.mr_latency) then
+    failwith
+      (Format.asprintf
+         "predecode identity violated (%s): armed latency %a <> hooks-off %a"
+         (Iso.name armed.mr_mode) Hist.pp armed.mr_latency Hist.pp
+         fast.mr_latency)
 
-let run ?(modes = Iso.all) ?trials ?dispatches ?warmup ?gate_runs ~quick () =
-  let dflt q f = Option.value ~default:(if quick then q else f) in
-  let trials = dflt 3 5 trials in
-  let dispatches = dflt 300 1500 dispatches in
-  let warmup = dflt 50 200 warmup in
-  let gate_runs = dflt 10 50 gate_runs in
-  let runs = List.map (run_mode ~warmup ~trials ~dispatches) modes in
-  let fast = List.map (run_mode_hooks_off ~warmup ~trials ~dispatches) modes in
-  List.iter2 assert_identity runs fast;
-  let doc =
-    {
-      Schema.d_schema = 2;
-      d_bench = "gateheavy";
-      d_quick = quick;
-      d_trials = trials;
-      d_dispatches = dispatches;
-      d_warmup = warmup;
-      d_host = host_meta ();
-      d_modes = List.map mode_row runs @ List.map hooks_off_row fast;
-      d_gate = gate_costs ~runs:gate_runs ();
-    }
-  in
-  (doc, runs)
-
-(* Hooks-off only, for the CI speedup floor: cheap, no profiler, no
-   gate-cost ablations. *)
-let run_speedup ?(modes = [ Iso.No_isolation ]) ?trials ?dispatches ?warmup
+(* [armed] runs every mode twice (armed and hooks-off, identity
+   asserted) and adds the deterministic gate costs; without it only
+   the cheap hooks-off rows run, for the CI speedup floor. *)
+let run ?(modes = Iso.all) ?trials ?dispatches ?warmup ?gate_runs ~armed
     ~quick () =
   let dflt q f = Option.value ~default:(if quick then q else f) in
   let trials = dflt 3 5 trials in
   let dispatches = dflt 300 1500 dispatches in
   let warmup = dflt 50 200 warmup in
-  let fast = List.map (run_mode_hooks_off ~warmup ~trials ~dispatches) modes in
-  let doc =
-    {
-      Schema.d_schema = 2;
-      d_bench = "gateheavy";
-      d_quick = quick;
-      d_trials = trials;
-      d_dispatches = dispatches;
-      d_warmup = warmup;
-      d_host = host_meta ();
-      d_modes = List.map hooks_off_row fast;
-      d_gate = { Schema.g_ctx_switch = []; g_cert = [] };
-    }
+  let gate_runs = dflt 10 50 gate_runs in
+  let runs ~hooks =
+    List.map (run_mode ~hooks ~warmup ~trials ~dispatches) modes
   in
-  (doc, fast)
+  let rows, gate =
+    if armed then begin
+      let slow = runs ~hooks:true in
+      let fast = runs ~hooks:false in
+      List.iter2 assert_identity slow fast;
+      ( List.map (mode_row ~hooks:true) slow
+        @ List.map (mode_row ~hooks:false) fast,
+        gate_costs ~runs:gate_runs () )
+    end
+    else
+      ( List.map (mode_row ~hooks:false) (runs ~hooks:false),
+        { Schema.g_ctx_switch = []; g_cert = [] } )
+  in
+  {
+    Schema.d_schema = 2;
+    d_bench = "gateheavy";
+    d_quick = quick;
+    d_trials = trials;
+    d_dispatches = dispatches;
+    d_warmup = warmup;
+    d_host = host_meta ();
+    d_modes = rows;
+    d_gate = gate;
+  }
 
 let pp_doc ppf (d : Schema.doc) =
   Format.fprintf ppf

@@ -24,15 +24,18 @@ type mode_run = {
 }
 
 val run_mode :
-  ?warmup:int -> trials:int -> dispatches:int -> Iso.mode -> mode_run
-
-val run_mode_hooks_off :
-  ?warmup:int -> trials:int -> dispatches:int -> Iso.mode -> mode_run
-(** Same workload with no observability attached, so the machine runs
-    on the predecoded-block fast path.  Simulated cycles are
-    byte-identical to {!run_mode} (asserted by {!run}); only the host
-    throughput differs.  Latency/handler histograms are empty and the
-    class breakdown absent — there is no profiler to fill them. *)
+  ?warmup:int ->
+  hooks:bool ->
+  trials:int ->
+  dispatches:int ->
+  Iso.mode ->
+  mode_run
+(** Drive one mode.  With [hooks] the Agg sink and the cycle profiler
+    are armed; without, the machine runs on the predecoded-block fast
+    path, and the handler histogram is empty and the class breakdown
+    absent — there is no profiler to fill them.  Simulated cycles and
+    the latency histogram (every dispatch's [dr_latency]) are the same
+    either way. *)
 
 val hooks_off_suffix : string
 (** ["+hooks-off"], appended to the mode name in snapshot rows. *)
@@ -46,26 +49,17 @@ val run :
   ?dispatches:int ->
   ?warmup:int ->
   ?gate_runs:int ->
+  armed:bool ->
   quick:bool ->
   unit ->
-  Schema.doc * mode_run list
-(** Full run: every mode armed, every mode hooks-off (with the
-    simulated-cycle identity between the two asserted), plus the
-    deterministic gate costs (context-switch cycles and the
-    gate-certification ablation).  Unspecified parameters default per
-    [quick]: quick = 3 trials × 300 dispatches, full = 5 × 1500. *)
-
-val run_speedup :
-  ?modes:Iso.mode list ->
-  ?trials:int ->
-  ?dispatches:int ->
-  ?warmup:int ->
-  quick:bool ->
-  unit ->
-  Schema.doc * mode_run list
-(** Hooks-off rows only (default: no-isolation), for the CI speedup
-    floor — no profiler, no gate ablations, so it is cheap enough to
-    run on every push. *)
+  Schema.doc
+(** With [armed]: every mode armed and every mode hooks-off (the
+    simulated-cycle and latency identity between the two asserted),
+    plus the deterministic gate costs (context-switch cycles and the
+    gate-certification ablation).  Without: the hooks-off rows only,
+    for the CI speedup floor — cheap enough to run on every push.
+    Unspecified parameters default per [quick]: quick = 3 trials ×
+    300 dispatches, full = 5 × 1500. *)
 
 val pp_doc : Format.formatter -> Schema.doc -> unit
 (** Human-readable per-mode table (throughput median ± MAD,

@@ -42,8 +42,11 @@ type app_state = {
   certified_gates : string list;
       (* services whose gate-pointer validation the static certifier
          proved redundant (the image's [cert.gates.<app>] note) *)
-  metrics : Obs.Metrics.t;
-      (* keys: ["handler"; h] and ["state"; state; h] (ARP view) *)
+  by_handler : (string, handler_stats) Hashtbl.t;
+      (* dispatch totals per handler *)
+  by_state : (int * string, handler_stats) Hashtbl.t;
+      (* the same totals split by the app's [state] value when the
+         event arrived (ARP view) *)
   state_addr : int option;
       (* address of the app's "state" global, when it declares one *)
 }
@@ -168,13 +171,10 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
              subscriptions = [];
              timers = [];
              certified_gates =
-               (match
-                  Amulet_link.Image.note fw.Aft.fw_image
-                    ("cert.gates." ^ build.Aft.ab_name)
-                with
-               | Some s -> String.split_on_char ',' s
-               | None -> []);
-             metrics = Obs.Metrics.create ();
+               Amulet_analysis.Gate_taint.stamped fw.Aft.fw_image
+                 ~prefix:build.Aft.ab_name;
+             by_handler = Hashtbl.create 4;
+             by_state = Hashtbl.create 4;
              state_addr =
                (if Amulet_link.Image.has_symbol fw.Aft.fw_image state_sym then
                   Some (Amulet_link.Image.symbol fw.Aft.fw_image state_sym)
@@ -244,6 +244,23 @@ let handle_fault t (app : app_state) msg =
       Event_queue.clear_app t.queue index;
       post t ~delay_ms:1 ~app:index Event.Init ~arg:0
     end
+
+let add_stats tbl key r =
+  let s =
+    match Hashtbl.find_opt tbl key with
+    | Some s -> s
+    | None ->
+      { hs_count = 0; hs_cycles = 0; hs_reads = 0; hs_writes = 0;
+        hs_api_calls = 0 }
+  in
+  Hashtbl.replace tbl key
+    {
+      hs_count = s.hs_count + 1;
+      hs_cycles = s.hs_cycles + r.dr_cycles;
+      hs_reads = s.hs_reads + r.dr_reads;
+      hs_writes = s.hs_writes + r.dr_writes;
+      hs_api_calls = s.hs_api_calls + r.dr_api_calls;
+    }
 
 let dispatch_event t (e : Event.t) =
   let app = t.apps.(e.Event.app) in
@@ -319,16 +336,11 @@ let dispatch_event t (e : Event.t) =
           dr_outcome = outcome;
         }
       in
-      let bump key =
-        Obs.Metrics.bump app.metrics key ~count:1 ~cycles:record.dr_cycles
-          ~reads:record.dr_reads ~writes:record.dr_writes
-          ~api_calls:record.dr_api_calls
-      in
-      bump [ "handler"; handler ];
+      add_stats app.by_handler handler record;
       (* ARP-view accounting: attribute the dispatch to the state the
          app's machine was in when the event arrived *)
       (match state_before with
-      | Some st -> bump [ "state"; string_of_int st; handler ]
+      | Some st -> add_stats app.by_state (st, handler) record
       | None -> ());
       (match t.obs with
       | Some obs ->
@@ -424,35 +436,14 @@ let app_by_name t name =
   | Some a -> a
   | None -> raise Not_found
 
-let snapshot (c : Obs.Metrics.cell) =
-  {
-    hs_count = c.count;
-    hs_cycles = c.cycles;
-    hs_reads = c.reads;
-    hs_writes = c.writes;
-    hs_api_calls = c.api_calls;
-  }
+let handler_profile app handler = Hashtbl.find_opt app.by_handler handler
 
-let handler_profile app handler =
-  Option.map snapshot (Obs.Metrics.find app.metrics [ "handler"; handler ])
+let sorted_bindings tbl =
+  Hashtbl.fold (fun k s acc -> (k, s) :: acc) tbl [] |> List.sort compare
 
-let handler_profiles app =
-  Obs.Metrics.fold
-    (fun key cell acc ->
-      match key with
-      | [ "handler"; h ] -> (h, snapshot cell) :: acc
-      | _ -> acc)
-    app.metrics []
-  |> List.sort compare
+let handler_profiles app = sorted_bindings app.by_handler
+let state_profile app = sorted_bindings app.by_state
 
-let state_profile app =
-  Obs.Metrics.fold
-    (fun key cell acc ->
-      match key with
-      | [ "state"; st; h ] -> ((int_of_string st, h), snapshot cell) :: acc
-      | _ -> acc)
-    app.metrics []
-  |> List.sort compare
 let display_line t n = t.api.Api.display.(n land 3)
 let log_contents t = Buffer.contents t.api.Api.log
 

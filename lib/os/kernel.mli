@@ -39,7 +39,7 @@ type dispatch_record = {
 }
 
 (** Accumulated per-(app, handler) profile snapshot — the input ARP
-    needs.  Backed by {!Amulet_obs.Obs.Metrics} cells. *)
+    needs. *)
 type handler_stats = {
   hs_count : int;
   hs_cycles : int;
@@ -64,8 +64,11 @@ type app_state = {
           proved redundant for this app (from the image's
           [cert.gates.<app>] note); {!Api.dispatch} skips the dynamic
           range walk for them *)
-  metrics : Amulet_obs.Obs.Metrics.t;
-      (** keyed [\["handler"; h\]] and [\["state"; st; h\]] *)
+  by_handler : (string, handler_stats) Hashtbl.t;
+      (** dispatch totals per handler (see {!handler_profile}) *)
+  by_state : (int * string, handler_stats) Hashtbl.t;
+      (** the same totals per ([state] value at dispatch, handler)
+          (see {!state_profile}) *)
   state_addr : int option;
       (** address of the app's [state] global, when it declares one —
           enables the ARP-view per-state accounting *)
@@ -149,4 +152,4 @@ val liveness_probe : ?max_dispatches:int -> t -> app:int -> bool
 val unrecovered_faults : t -> (string * string) list
 (** Apps left disabled by a fault under the [Disable] policy (or after
     exhausting [Restart]): [(app name, last fault message)].  Drives
-    {b amulet_sim}'s failure exit code. *)
+    {b amulet sim}'s failure exit code. *)

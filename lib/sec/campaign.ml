@@ -285,9 +285,8 @@ let run_cell ~attack ~mode ~seed =
           List.map
             (fun (b : Aft.app_build) ->
               let prefix = b.Aft.ab_name in
-              match Amulet_analysis.Cfi.reconstruct ~image ~mode ~prefix with
-              | Ok cfg ->
-                (prefix, Some (Amulet_analysis.Wcet.analyze ~image ~cfg))
+              match Lint.wcet_chain ~image ~mode ~prefix with
+              | Ok w -> (prefix, Some w)
               | Error _ | (exception Invalid_argument _) -> (prefix, None))
             fw.Aft.fw_apps
         in

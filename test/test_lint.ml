@@ -107,13 +107,18 @@ let test_cfi_rejects_computed_jump () =
 (* ------------------------------------------------------------------ *)
 (* Binary stack bounds *)
 
-let cfg_of ~mode ~prefix image =
-  match An.Cfi.reconstruct ~image ~mode ~prefix with
-  | Ok cfg -> cfg
+(* The stack and gate passes as the certifier chains them. *)
+let chain_of ~mode ~prefix image =
+  let g = An.Lint.gates_chain ~image ~mode ~prefix in
+  match Lazy.force g.An.Lint.g_cfi with
+  | Ok _ -> g
   | Error vs ->
     Alcotest.failf "CFI rejected %s:@.%s" prefix
       (String.concat "\n"
          (List.map (Format.asprintf "%a" An.Cfi.pp_violation) vs))
+
+let stack_of ~mode ~prefix image =
+  Option.get (Lazy.force (chain_of ~mode ~prefix image).An.Lint.g_stack)
 
 let test_stackcert_suite () =
   List.iter
@@ -122,8 +127,7 @@ let test_stackcert_suite () =
       let fw = Aft.build ~mode specs in
       List.iter
         (fun (spec : Aft.app_spec) ->
-          let cfg = cfg_of ~mode ~prefix:spec.name fw.Aft.fw_image in
-          let r = An.Stackcert.analyze ~cfg ~image:fw.Aft.fw_image in
+          let r = stack_of ~mode ~prefix:spec.name fw.Aft.fw_image in
           match r.An.Stackcert.sc_verdict with
           | An.Stackcert.Certified _ -> ()
           | An.Stackcert.Unbounded { fenced; _ } ->
@@ -148,8 +152,7 @@ let test_stackcert_cross_check () =
   let fw = Aft.build ~mode specs in
   List.iter2
     (fun (spec : Aft.app_spec) (ab : Aft.app_build) ->
-      let cfg = cfg_of ~mode ~prefix:spec.name fw.Aft.fw_image in
-      let r = An.Stackcert.analyze ~cfg ~image:fw.Aft.fw_image in
+      let r = stack_of ~mode ~prefix:spec.name fw.Aft.fw_image in
       match r.An.Stackcert.sc_verdict with
       | An.Stackcert.Certified { bound; _ } ->
         let src = ab.Aft.ab_compiled.Amulet_cc.Driver.stack_bytes in
@@ -175,8 +178,7 @@ let overflow_src =
 let test_stackcert_rejects_overflow () =
   let mode = Iso.Mpu_assisted in
   let fw = Aft.build ~mode [ { Aft.name = "ovf"; source = overflow_src } ] in
-  let cfg = cfg_of ~mode ~prefix:"ovf" fw.Aft.fw_image in
-  let r = An.Stackcert.analyze ~cfg ~image:fw.Aft.fw_image in
+  let r = stack_of ~mode ~prefix:"ovf" fw.Aft.fw_image in
   match r.An.Stackcert.sc_verdict with
   | An.Stackcert.Rejected { bound; region; chain } ->
     Alcotest.(check bool) "bound exceeds region" true (bound > region);
@@ -189,9 +191,7 @@ let test_stackcert_rejects_overflow () =
 (* Gate-argument provenance *)
 
 let gate_of ~mode ~prefix image =
-  let cfg = cfg_of ~mode ~prefix image in
-  let stack = An.Stackcert.analyze ~cfg ~image in
-  An.Gate_taint.analyze ~cfg ~stack ~image
+  Option.get (Lazy.force (chain_of ~mode ~prefix image).An.Lint.g_gates)
 
 (* In separate-stack modes every pointer a suite app passes to a gate
    is either a link-time constant or a frame slot with a certified FP
@@ -291,16 +291,84 @@ let test_lint_notes_stamped () =
   let mode = Iso.Mpu_assisted in
   let spec = Suite.spec_for mode Suite.gateheavy in
   let fw = Aft.build ~mode [ spec ] in
-  (match I.note fw.Aft.fw_image "cert.gates.gateheavy" with
-  | Some svcs ->
-    Alcotest.(check (list string))
-      "gateheavy gates certified"
-      [ "api_log_append"; "api_read_accel" ]
-      (String.split_on_char ',' svcs)
-  | None -> Alcotest.fail "certification note missing");
+  Alcotest.(check (list string))
+    "gateheavy gates certified"
+    [ "api_log_append"; "api_read_accel" ]
+    (An.Gate_taint.stamped fw.Aft.fw_image ~prefix:"gateheavy");
   let fw' = Aft.build ~mode ~certify:false [ spec ] in
-  Alcotest.(check bool) "no note without certification" true
-    (I.note fw'.Aft.fw_image "cert.gates.gateheavy" = None)
+  Alcotest.(check (list string)) "no note without certification" []
+    (An.Gate_taint.stamped fw'.Aft.fw_image ~prefix:"gateheavy")
+
+(* What the AFT stamps at build time is what the certifier concludes
+   about the finished image: stamping the notes changes nothing the
+   gates chain reads. *)
+let test_lint_stamp_matches_report () =
+  List.iter
+    (fun mode ->
+      let specs = List.map (Suite.spec_for mode) Suite.all in
+      let image = (Aft.build ~mode specs).Aft.fw_image in
+      let r = An.Lint.run ~image ~mode ~apps:(An.Lint.apps_of image) in
+      Alcotest.(check int) "one report per app" (List.length specs)
+        (List.length r.An.Lint.l_apps);
+      List.iter
+        (fun (a : An.Lint.app_report) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s" (Iso.name mode) a.An.Lint.r_app)
+            a.An.Lint.r_certified
+            (An.Gate_taint.stamped image ~prefix:a.An.Lint.r_app))
+        r.An.Lint.l_apps)
+    modes
+
+(* Certification rests on the SFI verdict: turn one indexed store in
+   gateheavy's handler into a same-length absolute store into OS data.
+   CFI and the gate pass are blind to the store's target and still
+   pass, but the verifier rejects it, so nothing may be certified. *)
+let test_gates_need_sfi () =
+  let mode = Iso.Mpu_assisted in
+  let fw = Aft.build ~mode [ Suite.spec_for mode Suite.gateheavy ] in
+  let image = fw.Aft.fw_image and prefix = "gateheavy" in
+  let handler = I.symbol image "gateheavy$handle_button" in
+  let cfg = Result.get_ok (An.Cfi.reconstruct ~image ~mode ~prefix) in
+  let fn =
+    List.find
+      (fun (f : An.Cfi.func) -> f.An.Cfi.f_entry = handler)
+      (An.Cfi.functions cfg)
+  in
+  let module O = Amulet_mcu.Opcode in
+  let target = fw.Aft.fw_layout.Amulet_aft.Layout.os_data_base in
+  let store =
+    List.concat_map (fun (b : An.Cfi.block) -> b.An.Cfi.b_insns)
+      fn.An.Cfi.f_blocks
+    |> List.find_map (fun (i : An.Cfi.insn) ->
+           match i.An.Cfi.i_op with
+           | O.Fmt1 (op, w, src, O.D_indexed _) when O.writes_back op ->
+             Some (i, O.Fmt1 (op, w, src, O.D_absolute target))
+           | _ -> None)
+  in
+  let insn, patched =
+    match store with
+    | Some s -> s
+    | None -> Alcotest.fail "no indexed store in gateheavy's handler"
+  in
+  let words = Amulet_mcu.Encode.encode patched in
+  Alcotest.(check int) "same length" insn.An.Cfi.i_size (2 * List.length words);
+  let image =
+    List.fold_left
+      (fun (img, a) w -> (patch_word img a w, a + 2))
+      (image, insn.An.Cfi.i_addr) words
+    |> fst
+  in
+  let g = An.Lint.gates_chain ~image ~mode ~prefix in
+  Alcotest.(check bool) "SFI rejects the patched store" true
+    (Result.is_error (Lazy.force g.An.Lint.g_sfi));
+  Alcotest.(check bool) "CFI still passes" true
+    (Result.is_ok (Lazy.force g.An.Lint.g_cfi));
+  Alcotest.(check (list string))
+    "gate pass alone would certify"
+    [ "api_log_append"; "api_read_accel" ]
+    (Option.get (Lazy.force g.An.Lint.g_gates)).An.Gate_taint.gt_certified;
+  Alcotest.(check (list string)) "nothing certified" []
+    (An.Lint.certified_gates ~image ~mode ~prefix)
 
 (* ------------------------------------------------------------------ *)
 (* amulet objdump --cfg prints the reconstructed graph for an example *)
@@ -377,6 +445,10 @@ let suite =
         Alcotest.test_case "zero apps is an error" `Quick test_lint_zero_apps;
         Alcotest.test_case "certification notes stamped" `Quick
           test_lint_notes_stamped;
+        Alcotest.test_case "stamped notes match the report" `Quick
+          test_lint_stamp_matches_report;
+        Alcotest.test_case "certified gates need SFI" `Quick
+          test_gates_need_sfi;
         Alcotest.test_case "objdump --cfg on an example" `Quick
           test_objdump_cfg;
       ] );

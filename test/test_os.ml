@@ -224,20 +224,20 @@ let test_handler_stats () =
 
 (* ARP-view per-state accounting: a two-state app whose timer handler
    does markedly different work per state. *)
+let twostate_app =
+  "int state = 0;\n\
+   int sink[16];\n\
+   void handle_init(int arg) { api_set_timer(100); }\n\
+   void handle_timer(int arg) {\n\
+  \  if (state == 0) { state = 1; }\n\
+  \  else {\n\
+  \    int i; for (i = 0; i < 16; i++) sink[i] = i;\n\
+  \    state = 0;\n\
+  \  }\n\
+   }\n"
+
 let test_state_profile () =
-  let src =
-    "int state = 0;\n\
-     int sink[16];\n\
-     void handle_init(int arg) { api_set_timer(100); }\n\
-     void handle_timer(int arg) {\n\
-    \  if (state == 0) { state = 1; }\n\
-    \  else {\n\
-    \    int i; for (i = 0; i < 16; i++) sink[i] = i;\n\
-    \    state = 0;\n\
-    \  }\n\
-     }\n"
-  in
-  let fw = build_one src "twostate" in
+  let fw = build_one twostate_app "twostate" in
   let k = Os.Kernel.create fw in
   let _ = Os.Kernel.run_for_ms k 2_000 in
   let app = Os.Kernel.app_by_name k "twostate" in
@@ -254,6 +254,90 @@ let test_state_profile () =
     (s1.Os.Kernel.hs_cycles / s1.Os.Kernel.hs_count
     > s0.Os.Kernel.hs_cycles / s0.Os.Kernel.hs_count
       + 50)
+
+(* The per-app tables are the dispatch records folded per handler and
+   per (state at dispatch, handler), field for field. *)
+let test_profiles_fold_records () =
+  let fw =
+    Aft.build ~mode:Iso.Mpu_assisted
+      [
+        { Aft.name = "counter"; source = counter_app };
+        { Aft.name = "twostate"; source = twostate_app };
+      ]
+  in
+  let k = Os.Kernel.create ~scenario:Os.Sensors.Walking fw in
+  let m = k.Os.Kernel.machine in
+  (* drive the queue by hand, reading the app's [state] global right
+     before each dispatch, as the kernel does *)
+  let rec drive acc n =
+    match Os.Event_queue.peek k.Os.Kernel.queue with
+    | Some e when n > 0 -> (
+      let st =
+        Option.map
+          (fun a -> M.mem_checked_read m W.W16 a)
+          k.Os.Kernel.apps.(e.Os.Event.app).Os.Kernel.state_addr
+      in
+      match Os.Kernel.dispatch_next k with
+      | Some r -> drive ((st, r) :: acc) (n - 1)
+      | None -> List.rev acc)
+    | _ -> List.rev acc
+  in
+  let records = drive [] 400 in
+  let add key (r : Os.Kernel.dispatch_record) tbl =
+    let s =
+      Option.value (List.assoc_opt key tbl)
+        ~default:
+          { Os.Kernel.hs_count = 0; hs_cycles = 0; hs_reads = 0; hs_writes = 0;
+            hs_api_calls = 0 }
+    in
+    ( key,
+      {
+        Os.Kernel.hs_count = s.Os.Kernel.hs_count + 1;
+        hs_cycles = s.Os.Kernel.hs_cycles + r.Os.Kernel.dr_cycles;
+        hs_reads = s.Os.Kernel.hs_reads + r.Os.Kernel.dr_reads;
+        hs_writes = s.Os.Kernel.hs_writes + r.Os.Kernel.dr_writes;
+        hs_api_calls = s.Os.Kernel.hs_api_calls + r.Os.Kernel.dr_api_calls;
+      } )
+    :: List.remove_assoc key tbl
+  in
+  Array.iteri
+    (fun i (app : Os.Kernel.app_state) ->
+      let mine =
+        List.filter
+          (fun (_, (r : Os.Kernel.dispatch_record)) ->
+            r.Os.Kernel.dr_app = i
+            && r.Os.Kernel.dr_outcome <> Os.Kernel.No_handler)
+          records
+      in
+      let handler (r : Os.Kernel.dispatch_record) =
+        Os.Event.handler_name r.Os.Kernel.dr_kind
+      in
+      let by_handler =
+        List.fold_left (fun tbl (_, r) -> add (handler r) r tbl) [] mine
+        |> List.sort compare
+      in
+      let by_state =
+        List.fold_left
+          (fun tbl (st, r) ->
+            match st with Some st -> add (st, handler r) r tbl | None -> tbl)
+          [] mine
+        |> List.sort compare
+      in
+      let name = app.Os.Kernel.build.Aft.ab_name in
+      check_bool (name ^ " dispatched") true (List.length mine >= 5);
+      check_bool (name ^ " handler profile")
+        true (Os.Kernel.handler_profiles app = by_handler);
+      check_bool (name ^ " state profile")
+        true (Os.Kernel.state_profile app = by_state);
+      List.iter
+        (fun (h, s) ->
+          check_bool (name ^ " " ^ h) true
+            (Os.Kernel.handler_profile app h = Some s))
+        by_handler)
+    k.Os.Kernel.apps;
+  check_bool "per-state split exercised" true
+    (List.length (Os.Kernel.state_profile (Os.Kernel.app_by_name k "twostate"))
+    >= 2)
 
 let test_event_queue_order () =
   let q = Os.Event_queue.create () in
@@ -297,6 +381,8 @@ let () =
           Alcotest.test_case "handler stats" `Quick test_handler_stats;
           Alcotest.test_case "per-state profile (ARP-view)" `Quick
             test_state_profile;
+          Alcotest.test_case "profiles fold the dispatch records" `Quick
+            test_profiles_fold_records;
         ] );
       ( "isolation",
         [

@@ -9,7 +9,6 @@ module Aft = Amulet_aft.Aft
 module Os = Amulet_os
 module Apps = Amulet_apps.Suite
 module Iso = Amulet_cc.Isolation
-module Cfi = Amulet_analysis.Cfi
 module Wcet = Amulet_analysis.Wcet
 module LB = Amulet_analysis.Loopbound
 
@@ -80,9 +79,9 @@ let test_loop_merged_header () =
 (* Static analysis over real firmware *)
 
 let wcet_of image mode prefix =
-  match Cfi.reconstruct ~image ~mode ~prefix with
+  match Amulet_analysis.Lint.wcet_chain ~image ~mode ~prefix with
   | Error _ -> Alcotest.failf "CFI reconstruction failed for %s" prefix
-  | Ok cfg -> Wcet.analyze ~image ~cfg
+  | Ok w -> w
 
 let build_one mode name =
   let app = Apps.find name in
