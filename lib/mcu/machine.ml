@@ -319,21 +319,27 @@ let exec_uop t (u : Predecode.uop) =
   cpu.Cpu.cycles <- cpu.Cpu.cycles + u.Predecode.u_cost;
   cpu.Cpu.insns <- cpu.Cpu.insns + 1
 
+(* Does the MPU let every instruction word of [\[lo, hi)] execute?  A
+   word at an odd pc shares its segment with the even byte below it
+   (segment boundaries are even), so the span is widened down to even.
+   Reads the MPU's compiled view; allocates nothing. *)
+let exec_span_ok t lo hi = Mpu.exec_span_ok t.mpu (lo land lnot 1) hi
+
 (* Run uops from a block until it ends or something demands the
    per-instruction path.  Returns the fault, if one was raised.
 
-   Exec-permission handling: while [b_mpu_gen] matches the live MPU
-   generation, every instruction word is known Allowed and fetch words
-   are bulk-counted; otherwise each word is re-checked in fetch order,
-   counting words only after their check passes — the slow path's
-   exact fault/statistics ordering.  The generation is re-read per
-   uop, so an instruction that reconfigures the MPU demotes the rest
-   of its own block to careful mode. *)
+   Exec-permission handling: one span check on [\[b_lo, b_hi)] at
+   entry.  While it holds, fetch words are bulk-counted; where it is
+   refused, each word is re-checked in fetch order, counting words
+   only after their check passes — the slow path's exact
+   fault/statistics ordering.  [Mpu.gen] is re-read per uop: when an
+   instruction reconfigures the MPU, the span check is redone on the
+   rest of the block. *)
 let run_block t (b : Predecode.block) budget =
   t.emit_hook <- None;
   t.in_step <- true;
-  let entry_gen = Mpu.gen t.mpu in
-  let unvalidated = b.Predecode.b_mpu_gen <> entry_gen in
+  let mpu_gen = ref (Mpu.gen t.mpu) in
+  let span_ok = ref (exec_span_ok t b.Predecode.b_lo b.Predecode.b_hi) in
   let mem_gen0 = Memory.code_gen t.mem in
   let uops = b.Predecode.b_uops in
   let n = Array.length uops in
@@ -344,7 +350,11 @@ let run_block t (b : Predecode.block) budget =
      let continue = ref true in
      while !continue && !i < n do
        let u = Array.unsafe_get uops !i in
-       if b.Predecode.b_mpu_gen = Mpu.gen t.mpu then
+       if Mpu.gen t.mpu <> !mpu_gen then begin
+         mpu_gen := Mpu.gen t.mpu;
+         span_ok := exec_span_ok t u.Predecode.u_pc b.Predecode.b_hi
+       end;
+       if !span_ok then
          stats.Trace.fetch_words <-
            stats.Trace.fetch_words + u.Predecode.u_words
        else
@@ -366,9 +376,7 @@ let run_block t (b : Predecode.block) budget =
          || Memory.code_gen t.mem <> mem_gen0
          || !budget = 0
        then continue := false
-     done;
-     if unvalidated && !i = n && Mpu.gen t.mpu = entry_gen then
-       b.Predecode.b_mpu_gen <- entry_gen
+     done
    with Fault f -> fault := Some f);
   t.in_step <- false;
   !fault

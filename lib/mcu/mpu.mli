@@ -70,18 +70,28 @@ val boundary2 : t -> int
 
 val check : t -> access -> int -> check_result
 (** Permission check for one access.  Always [Allowed] when the MPU is
-    disabled or the address is not covered. *)
+    disabled or the address is not covered.  Reads a compiled view of
+    the configuration (effective boundaries and per-segment permission
+    nibbles as plain ints, recomputed on every configuration change),
+    so it is a handful of int compares and allocates nothing, a
+    refusal included. *)
+
+val exec_span_ok : t -> int -> int -> bool
+(** [exec_span_ok t lo hi] holds exactly when {!check}[ t Exec a] would
+    return [Allowed] for every even (word) address [a] in
+    [\[lo, hi)]; vacuously so when there is none.  Unlike {!check} it
+    never sets a violation flag.  Allocates nothing. *)
 
 val violation_flags : t -> int
 (** Current MPUCTL1 interrupt-flag bits. *)
 
 val gen : t -> int
 (** Configuration generation: bumped by every accepted register write,
-    {!configure}, {!raw_set} and {!reset}.  {!check} verdicts are a
-    pure function of the configuration, so a cached "allowed" result
-    stays valid exactly as long as [gen] is unchanged — the machine's
-    predecoded-block cache uses this to skip per-word execute checks
-    on revisited blocks. *)
+    {!configure}, {!raw_set} and {!reset} — exactly the paths that
+    recompile the view {!check} reads.  The block engine re-reads it
+    after every instruction to detect a mid-block reconfiguration and
+    redo its {!exec_span_ok} check on the rest of the block; no
+    verdict is cached across blocks. *)
 
 (** Raw register cells, for the fault injector: a bit flip in the
     MPU's own configuration state models the paper's concern that a

@@ -8,9 +8,11 @@
 
     The builder reads raw memory words only — no MPU checks, no
     statistics, no bus traffic — so building a block is free of
-    observable effects.  Execute-permission validation and fetch
-    accounting are replayed at run time by the machine, preserving the
-    per-instruction path's fault ordering exactly. *)
+    observable effects.  A block carries no MPU state: execute
+    permission is decided at run time by the machine (one
+    {!Mpu.exec_span_ok} check over the block's span, per-word checks
+    only where it is refused), preserving the per-instruction path's
+    fault ordering exactly. *)
 
 type uop = {
   u_pc : int;  (** address of the first instruction word *)
@@ -40,11 +42,6 @@ type block = {
           invalidates the block.  Empty blocks still span their first
           word so a write can flush a cached "unhandled" verdict. *)
   b_tail : tail;
-  mutable b_mpu_gen : int;
-      (** {!Mpu.gen} under which every instruction word passed the
-          Exec permission check, or [-1] before the first full pass.
-          While it matches the live MPU generation the machine skips
-          per-word checks and bulk-counts fetch words. *)
 }
 
 val max_uops : int

@@ -114,12 +114,14 @@ let dispatch t ?(certified = fun _ -> false) machine ~valid ~now_ms ~svc =
   | "api_get_battery" ->
     set_result (Sensors.battery_percent t.sensors ~time_ms:now_ms)
   | "api_read_accel" ->
-    let buf = arg 0 and n = max 1 (min 64 (W.to_signed W.W16 (arg 1))) in
+    let buf = arg 0
+    and n = Int.max 1 (Int.min 64 (W.to_signed W.W16 (arg 1))) in
     with_range buf (2 * n) (fun () ->
         let samples =
           List.init n (fun i ->
               let tm = now_ms - ((n - 1 - i) * 20) in
-              Sensors.accel_magnitude t.sensors ~time_ms:(max 0 tm) land 0xFFFF)
+              Sensors.accel_magnitude t.sensors ~time_ms:(Int.max 0 tm)
+              land 0xFFFF)
         in
         write_words buf samples;
         set_result n)
@@ -132,12 +134,14 @@ let dispatch t ?(certified = fun _ -> false) machine ~valid ~now_ms ~svc =
   | "api_read_heart_rate" ->
     set_result (Sensors.heart_rate t.sensors ~time_ms:now_ms)
   | "api_read_ppg" ->
-    let buf = arg 0 and n = max 1 (min 64 (W.to_signed W.W16 (arg 1))) in
+    let buf = arg 0
+    and n = Int.max 1 (Int.min 64 (W.to_signed W.W16 (arg 1))) in
     with_range buf (2 * n) (fun () ->
         let samples =
           List.init n (fun i ->
               let tm = now_ms - ((n - 1 - i) * 10) in
-              Sensors.ppg_sample t.sensors ~time_ms:(max 0 tm) land 0xFFFF)
+              Sensors.ppg_sample t.sensors ~time_ms:(Int.max 0 tm)
+              land 0xFFFF)
         in
         write_words buf samples;
         set_result n)
@@ -147,7 +151,7 @@ let dispatch t ?(certified = fun _ -> false) machine ~valid ~now_ms ~svc =
   | "api_display_write" ->
     let s = arg 0 and line = arg 1 land 3 in
     with_range s 1 (fun () ->
-        let maxlen = min 32 (span_above s) in
+        let maxlen = Int.min 32 (span_above s) in
         t.display.(line) <- read_string s maxlen;
         charge (String.length t.display.(line));
         set_result 0)
@@ -158,7 +162,8 @@ let dispatch t ?(certified = fun _ -> false) machine ~valid ~now_ms ~svc =
     set_result (Sensors.button_state t.sensors ~time_ms:now_ms)
   | "api_led" | "api_buzz" -> set_result 0
   | "api_log_append" ->
-    let buf = arg 0 and n = max 0 (min 128 (W.to_signed W.W16 (arg 1))) in
+    let buf = arg 0
+    and n = Int.max 0 (Int.min 128 (W.to_signed W.W16 (arg 1))) in
     with_range buf n (fun () ->
         for i = 0 to n - 1 do
           Buffer.add_char t.log
@@ -167,7 +172,8 @@ let dispatch t ?(certified = fun _ -> false) machine ~valid ~now_ms ~svc =
         charge (3 * n);
         set_result n)
   | "api_send_ble" ->
-    let buf = arg 0 and n = max 0 (min 128 (W.to_signed W.W16 (arg 1))) in
+    let buf = arg 0
+    and n = Int.max 0 (Int.min 128 (W.to_signed W.W16 (arg 1))) in
     with_range buf n (fun () ->
         for i = 0 to n - 1 do
           Buffer.add_char t.ble
@@ -177,7 +183,7 @@ let dispatch t ?(certified = fun _ -> false) machine ~valid ~now_ms ~svc =
         set_result n)
   | "api_set_timer" ->
     (* the period is an unsigned 16-bit millisecond count (1..65535) *)
-    let period = max 1 (arg 0) in
+    let period = Int.max 1 (arg 0) in
     let id = t.next_timer in
     t.next_timer <- t.next_timer + 1;
     effect (Set_timer { id; period_ms = period });
@@ -188,7 +194,7 @@ let dispatch t ?(certified = fun _ -> false) machine ~valid ~now_ms ~svc =
   | "api_subscribe" -> (
     match Event.sensor_of_int (arg 0) with
     | Some sensor ->
-      let rate_hz = max 1 (min 100 (W.to_signed W.W16 (arg 1))) in
+      let rate_hz = Int.max 1 (Int.min 100 (W.to_signed W.W16 (arg 1))) in
       effect (Subscribe { sensor; rate_hz });
       set_result 0
     | None -> set_result 0xFFFF)

@@ -30,6 +30,22 @@ let handler_name = function
   | Button _ -> "handle_button"
   | Tick -> "handle_tick"
 
+let handler_kinds =
+  [
+    Init; Timer_fired 0; Sensor_sample Accel; Sensor_sample Ppg;
+    Sensor_sample Temperature; Sensor_sample Light; Button 0; Tick;
+  ]
+
+let handler_index = function
+  | Init -> 0
+  | Timer_fired _ -> 1
+  | Sensor_sample Accel -> 2
+  | Sensor_sample Ppg -> 3
+  | Sensor_sample Temperature -> 4
+  | Sensor_sample Light -> 5
+  | Button _ -> 6
+  | Tick -> 7
+
 let kind_name = function
   | Init -> "init"
   | Timer_fired id -> Printf.sprintf "timer(%d)" id

@@ -28,6 +28,14 @@ type t = {
 }
 
 val handler_name : kind -> string
+
+val handler_kinds : kind list
+(** One kind per distinct handler, in {!handler_index} order. *)
+
+val handler_index : kind -> int
+(** Position of the kind's handler in {!handler_kinds}: kinds sharing a
+    handler share an index. *)
+
 val kind_name : kind -> string
 val pp : Format.formatter -> t -> unit
 

@@ -49,6 +49,7 @@ type app_state = {
          event arrived (ARP view) *)
   state_addr : int option;
       (* address of the app's "state" global, when it declares one *)
+  handlers : int option array; (* entry address per Event.handler_index *)
 }
 
 type t = {
@@ -179,6 +180,11 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
                (if Amulet_link.Image.has_symbol fw.Aft.fw_image state_sym then
                   Some (Amulet_link.Image.symbol fw.Aft.fw_image state_sym)
                 else None);
+             handlers =
+               Array.of_list
+                 (List.map
+                    (fun k -> Aft.handler_addr build (Event.handler_name k))
+                    Event.handler_kinds);
            })
          fw.Aft.fw_apps)
   in
@@ -262,21 +268,21 @@ let add_stats tbl key r =
       hs_api_calls = s.hs_api_calls + r.dr_api_calls;
     }
 
+let no_handler (e : Event.t) =
+  {
+    dr_app = e.Event.app; dr_kind = e.Event.kind; dr_cycles = 0;
+    dr_latency = 0; dr_reads = 0; dr_writes = 0; dr_api_calls = 0;
+    dr_outcome = No_handler;
+  }
+
 let dispatch_event t (e : Event.t) =
   let app = t.apps.(e.Event.app) in
-  let handler = Event.handler_name e.Event.kind in
-  let no_handler =
-    {
-      dr_app = e.Event.app; dr_kind = e.Event.kind; dr_cycles = 0;
-      dr_latency = 0; dr_reads = 0; dr_writes = 0; dr_api_calls = 0;
-      dr_outcome = No_handler;
-    }
-  in
-  if not app.enabled then no_handler
+  if not app.enabled then no_handler e
   else
-    match Aft.handler_addr app.build handler with
-    | None -> no_handler
+    match app.handlers.(Event.handler_index e.Event.kind) with
+    | None -> no_handler e
     | Some haddr ->
+      let handler = Event.handler_name e.Event.kind in
       let m = t.machine in
       let regs = M.regs m in
       let state_before =
@@ -378,7 +384,7 @@ let rearm t (e : Event.t) =
     | Event.Sensor_sample sensor -> (
       match List.assoc_opt sensor app.subscriptions with
       | Some rate_hz ->
-        post t ~delay_ms:(max 1 (1000 / rate_hz)) ~app:e.Event.app
+        post t ~delay_ms:(Int.max 1 (1000 / rate_hz)) ~app:e.Event.app
           e.Event.kind ~arg:e.Event.arg
       | None -> ())
     | Event.Timer_fired id -> (
@@ -393,13 +399,13 @@ let dispatch_next t =
   | None -> None
   | Some e ->
     (* how late the event runs relative to its scheduled time *)
-    let latency = max 0 (t.now - e.Event.at) in
+    let latency = Int.max 0 (t.now - e.Event.at) in
     (match t.obs with
     | Some obs ->
       Obs.counter obs ~name:"dispatch_latency_cycles" ~ts:t.now latency
     | None -> ());
     queue_gauge t;
-    t.now <- max t.now e.Event.at;
+    t.now <- Int.max t.now e.Event.at;
     t.vbase <- t.now - M.cycles t.machine;
     let before = M.cycles t.machine in
     let record = dispatch_event t e in

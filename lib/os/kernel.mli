@@ -72,6 +72,9 @@ type app_state = {
   state_addr : int option;
       (** address of the app's [state] global, when it declares one —
           enables the ARP-view per-state accounting *)
+  handlers : int option array;
+      (** handler entry address per {!Event.handler_index}, resolved
+          once at {!create} ([None]: the app has no such handler) *)
 }
 
 type t = {

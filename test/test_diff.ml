@@ -337,6 +337,101 @@ let lockstep_property mode =
          | M.Halted -> true
          | r -> failwith ("lockstep stopped with " ^ show_stop r)))
 
+(* Mid-block MPU reconfiguration.  [lockstep_run] steps one
+   instruction at a time, so no multi-uop block ever runs past an MPU
+   write there.  These hand-assembled images are one straight-line
+   basic block that reprograms the MPU part-way through; each runs at
+   full fuel on the block engine and on the reference stepper (a no-op
+   step hook armed), and the outcome must be identical: stop reason
+   (fault pc included), registers, cycles, fetch words and memory. *)
+
+module Mpu = Amulet_mcu.Mpu
+module Op = Amulet_mcu.Opcode
+module W = Amulet_mcu.Word
+
+let mov_imm v dst = Op.Fmt1 (Op.MOV, W.W16, Op.S_immediate v, dst)
+let mmio v addr = mov_imm v (Op.D_absolute addr)
+let halt = mmio 1 M.halt_port
+
+let sam ~seg1 ~seg2 ~seg3 = Mpu.sam_bits ~seg1 ~seg2 ~seg3 ()
+
+(* MPU on, boundaries at [b1] and 0xC000, SAM [sam0] *)
+let enable_mpu ~b1 ~sam0 =
+  [ mmio (b1 lsr 4) Mpu.segb1_addr; mmio 0x0C00 Mpu.segb2_addr;
+    mmio sam0 Mpu.sam_addr; mmio 0xA501 Mpu.ctl0_addr ]
+
+let midblock_lockstep ?(base = 0x4400) ~expect insns () =
+  let words = List.concat_map Amulet_mcu.Encode.encode insns in
+  let mk () =
+    let m = M.create () in
+    M.load_words m ~addr:base words;
+    M.set_reset_vector m base;
+    M.reset m;
+    m
+  in
+  let fast = mk () and slow = mk () in
+  M.add_step_hook slow (fun _ -> ());
+  let ra = M.run fast and rb = M.run slow in
+  (* the printed fault names every field: access, address, segment, pc *)
+  Alcotest.(check string) "stop reason" (show_stop rb) (show_stop ra);
+  compare_machines ~insn:fast.M.cpu.Cpu.insns fast slow;
+  (match Hashtbl.find_opt fast.M.blocks base with
+  | Some b ->
+    Alcotest.(check bool)
+      "the block engine ran the program as one block" true
+      (Array.length b.Amulet_mcu.Predecode.b_uops = List.length insns)
+  | None -> Alcotest.fail "no block cached at the entry pc");
+  expect ra
+
+let expect_exec_fault ~pc = function
+  | M.Faulted (M.Mpu_violation { access = Mpu.Exec; pc = p; _ }) when p = pc ->
+    ()
+  | r -> Alcotest.failf "expected an execute fault at %04X, got %s" pc
+           (show_stop r)
+
+let expect_halt = function
+  | M.Halted -> ()
+  | r -> Alcotest.failf "expected halt, got %s" (show_stop r)
+
+let byte_len insns =
+  List.fold_left (fun n i -> n + Amulet_mcu.Encode.length_bytes i) 0 insns
+
+(* (a) the MPUSAM write revokes execute on the block's own segment:
+   the next instruction faults on its fetch *)
+let midblock_revoke =
+  let prefix =
+    enable_mpu ~b1:0x8000 ~sam0:(sam ~seg1:"rwx" ~seg2:"rw" ~seg3:"rw")
+    @ [ mov_imm 0x1111 (Op.D_reg 5);
+        mmio (sam ~seg1:"rw" ~seg2:"rw" ~seg3:"rw") Mpu.sam_addr ]
+  in
+  midblock_lockstep
+    ~expect:(expect_exec_fault ~pc:(0x4400 + byte_len prefix))
+    (prefix @ [ mov_imm 0x2222 (Op.D_reg 6); halt ])
+
+(* (b) MPUSAM and MPUCTL0 writes that change the configuration but keep
+   execute on the running segment: the block runs to the halt *)
+let midblock_keep =
+  midblock_lockstep ~expect:expect_halt
+    (enable_mpu ~b1:0x8000 ~sam0:(sam ~seg1:"rwx" ~seg2:"rw" ~seg3:"")
+    @ [ mov_imm 0x1111 (Op.D_reg 5);
+        mmio (sam ~seg1:"x" ~seg2:"rw" ~seg3:"rw") Mpu.sam_addr;
+        mov_imm 0x2222 (Op.D_reg 6);
+        mmio 0xA501 Mpu.ctl0_addr;
+        mov_imm 0x3333 (Op.D_absolute 0xD000);
+        halt ])
+
+(* (c) enabling the MPU mid-block leaves the block's tail in a segment
+   without execute, and the boundary splits an instruction: its first
+   word is fetched and counted, its extension word faults *)
+let midblock_straddle =
+  let prefix =
+    enable_mpu ~b1:0x4800 ~sam0:(sam ~seg1:"rwx" ~seg2:"rw" ~seg3:"rw")
+    @ [ mov_imm 0x1111 (Op.D_reg 5) ]
+  in
+  let base = 0x4800 - 2 - byte_len prefix in
+  midblock_lockstep ~base ~expect:(expect_exec_fault ~pc:0x47FE)
+    (prefix @ [ mov_imm 0x1234 (Op.D_reg 7); halt ])
+
 (* Attack-corpus lockstep: every corpus attack that builds, under
    every isolation mode, dispatched on two kernels over the same
    firmware — one hooks-off (predecoded engine), one with a no-op
@@ -466,5 +561,11 @@ let () =
         @ [
             Alcotest.test_case "predecode warm, cold and reference agree"
               `Quick predecode_identity;
+            Alcotest.test_case "mid-block MPU write revokes execute" `Quick
+              midblock_revoke;
+            Alcotest.test_case "mid-block MPU write keeps execute" `Quick
+              midblock_keep;
+            Alcotest.test_case "mid-block MPU enable splits an instruction"
+              `Quick midblock_straddle;
           ] );
     ]

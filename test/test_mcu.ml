@@ -593,6 +593,139 @@ let test_stats_counting () =
   check_int "data writes" 1 m.Machine.stats.Trace.data_writes
 
 (* ------------------------------------------------------------------ *)
+(* Compiled MPU view: boundaries, span checks, allocation *)
+
+type mpu_op =
+  | Op_mmio of int * int
+  | Op_configure of int * int * int * bool
+  | Op_raw of Mpu.raw_reg * int
+  | Op_reset
+
+let gen_mpu_op =
+  let open QCheck2.Gen in
+  let reg_addr =
+    oneofl
+      [ Mpu.ctl0_addr; Mpu.ctl1_addr; Mpu.segb1_addr; Mpu.segb2_addr;
+        Mpu.sam_addr ]
+  in
+  (* control writes carry the password half the time; the low byte
+     may set the lock bit *)
+  let mmio_value =
+    oneof
+      [ map (fun lo -> 0xA500 lor lo) (int_range 0 0xFF);
+        int_range 0 0xFFFF ]
+  in
+  let raw_reg =
+    oneofl
+      [ Mpu.Raw_ctl0; Mpu.Raw_ctl1; Mpu.Raw_segb1; Mpu.Raw_segb2;
+        Mpu.Raw_sam ]
+  in
+  frequency
+    [
+      (6, map2 (fun a v -> Op_mmio (a, v)) reg_addr mmio_value);
+      ( 3,
+        map
+          (fun (b1, b2, sam, ena) -> Op_configure (b1, b2, sam, ena))
+          (quad (int_range 0 0xFFFF) (int_range 0 0xFFFF)
+             (int_range 0 0xFFFF) bool) );
+      (3, map2 (fun r v -> Op_raw (r, v)) raw_reg (int_range 0 0xFFFF));
+      (1, return Op_reset);
+    ]
+
+let apply_mpu_op t = function
+  | Op_mmio (a, v) -> ignore (Mpu.mmio_write t a v)
+  | Op_configure (b1, b2, sam, enable) -> Mpu.configure t ~b1 ~b2 ~sam ~enable
+  | Op_raw (r, v) -> Mpu.raw_set t r v
+  | Op_reset -> Mpu.reset t
+
+(* The documented snap rule, from the raw register cell: address / 16,
+   down to the 1 KiB granule, clamped to main FRAM. *)
+let snapped raw =
+  let a = (raw lsl 4) land 0xFFFF land lnot 0x3FF in
+  Int.min (Int.max a Memory_map.fram_start) Memory_map.fram_limit
+
+let all_regs =
+  [ Mpu.Raw_ctl0; Mpu.Raw_ctl1; Mpu.Raw_segb1; Mpu.Raw_segb2; Mpu.Raw_sam ]
+
+(* Spans worth probing: around every boundary, InfoMem and FRAM edges,
+   odd and empty ones included, plus a few random wide ones. *)
+let probe_spans t rand =
+  let edges =
+    [ Mpu.boundary1 t; Mpu.boundary2 t; Memory_map.fram_start;
+      Memory_map.fram_limit; Memory_map.info_mem_start;
+      Memory_map.info_mem_limit ]
+  in
+  List.concat_map
+    (fun e ->
+      List.map
+        (fun (dl, dh) -> (e + dl, e + dh))
+        [ (-4, 0); (-2, 2); (-1, 1); (0, 2); (1, 2); (0, 0); (2, 6); (-6, -2) ])
+    edges
+  @ List.init 4 (fun _ ->
+        let a = Random.State.int rand 0x10001
+        and b = Random.State.int rand 0x10001 in
+        (Int.min a b, Int.max a b))
+
+let compiled_view_property =
+  QCheck2.Test.make ~count:300
+    ~name:"compiled MPU view matches raw registers"
+    QCheck2.Gen.(pair (list_size (int_range 0 12) gen_mpu_op) int)
+    (fun (ops, seed) ->
+      let t = Mpu.create () in
+      List.iter (apply_mpu_op t) ops;
+      (* an identical unit built only through the backdoor: [check]
+         sets flags on refusal, so verdicts are read from this one *)
+      let twin = Mpu.create () in
+      List.iter (fun r -> Mpu.raw_set twin r (Mpu.raw_get t r)) all_regs;
+      let b1 = snapped (Mpu.raw_get t Mpu.Raw_segb1)
+      and b2 = snapped (Mpu.raw_get t Mpu.Raw_segb2) in
+      let flags = Mpu.violation_flags t in
+      let rand = Random.State.make [| seed |] in
+      Mpu.boundary1 t = b1
+      && Mpu.boundary2 t = b2
+      && Mpu.boundary1 twin = b1
+      && Mpu.boundary2 twin = b2
+      && List.for_all
+           (fun (lo, hi) ->
+             let rec all a =
+               a >= hi
+               || (Mpu.check twin Mpu.Exec a = Mpu.Allowed && all (a + 2))
+             in
+             Mpu.exec_span_ok t lo hi = all ((lo + 1) land lnot 1))
+           (probe_spans t rand)
+      && Mpu.violation_flags t = flags)
+
+(* [check] sits on every FRAM data access and careful fetch, and
+   [exec_span_ok] on every block entry: neither may allocate, a
+   refusal included. *)
+let test_mpu_checks_allocate_nothing () =
+  let t = Mpu.create () in
+  Mpu.configure t ~b1:0x8000 ~b2:0xC000
+    ~sam:(Mpu.sam_bits ~seg1:"x" ~seg2:"rw" ~seg3:"" ~info:"r" ())
+    ~enable:true;
+  let words name f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      f (i land 0x3FE)
+    done;
+    let w = Gc.minor_words () -. w0 in
+    if w > 0. then Alcotest.failf "10k %s allocated %g minor words" name w
+  in
+  let check access base i =
+    ignore (Sys.opaque_identity (Mpu.check t access (base + i)))
+  in
+  let span lo i =
+    ignore (Sys.opaque_identity (Mpu.exec_span_ok t lo (lo + i)))
+  in
+  words "allowed checks" (check Mpu.Exec 0x5000);
+  words "allowed uncovered checks" (check Mpu.Dwrite 0x1C00);
+  words "refused checks" (check Mpu.Dread 0x5000);
+  words "refused exec checks" (check Mpu.Exec 0x9000);
+  words "refused info checks" (check Mpu.Dwrite 0x1800);
+  words "allowed span checks" (span 0x4400);
+  words "refused span checks" (span 0x7F00)
+
+(* ------------------------------------------------------------------ *)
 (* More properties *)
 
 let gen_width = QCheck2.Gen.oneofl [ Word.W8; Word.W16 ]
@@ -1042,7 +1175,10 @@ let () =
           Alcotest.test_case "raw round-trip" `Quick test_mpu_raw_roundtrip;
           Alcotest.test_case "raw bypasses password+lock" `Quick
             test_mpu_raw_bypasses_password_and_lock;
+          Alcotest.test_case "checks allocate nothing" `Quick
+            test_mpu_checks_allocate_nothing;
         ] );
+      qsuite "mpu-props" [ compiled_view_property ];
       ( "hooks",
         [
           Alcotest.test_case "mid-step watch deferred" `Quick

@@ -353,6 +353,26 @@ let test_event_queue_order () =
   in
   Alcotest.(check (list int)) "time order, FIFO ties" [ 1; 3; 2; 0 ] order
 
+(* The kernel resolves handler addresses once per app into an array
+   indexed by [Event.handler_index]; the index must name the same
+   handler as [Event.handler_name] for every kind. *)
+let test_handler_index () =
+  let module E = Os.Event in
+  let kinds =
+    [ E.Init; E.Timer_fired 0; E.Timer_fired 9; E.Button 0; E.Button 3; E.Tick ]
+    @ List.map (fun s -> E.Sensor_sample s) E.all_sensors
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check string)
+        (E.kind_name k) (E.handler_name k)
+        (E.handler_name (List.nth E.handler_kinds (E.handler_index k))))
+    kinds;
+  let names = List.map E.handler_name E.handler_kinds in
+  check_int "one kind per handler"
+    (List.length names)
+    (List.length (List.sort_uniq compare names))
+
 let test_sensors_deterministic () =
   let s1 = Os.Sensors.create ~seed:7 Os.Sensors.Walking in
   let s2 = Os.Sensors.create ~seed:7 Os.Sensors.Walking in
@@ -402,6 +422,7 @@ let () =
       ( "infra",
         [
           Alcotest.test_case "event queue order" `Quick test_event_queue_order;
+          Alcotest.test_case "handler index" `Quick test_handler_index;
           Alcotest.test_case "sensors deterministic" `Quick
             test_sensors_deterministic;
           Alcotest.test_case "fall spike" `Quick test_fall_scenario_spike;
