@@ -52,8 +52,8 @@ let run mode scenario seconds trace trace_format profile expect_fault apps () =
   Format.printf "%d events dispatched, %d total cycles@."
     (List.length records)
     (Amulet_mcu.Machine.cycles k.Os.Kernel.machine);
-  Array.iter
-    (fun (st : Os.Kernel.app_state) ->
+  Array.iteri
+    (fun app (st : Os.Kernel.app_state) ->
       Format.printf "@.app %-16s %s@." st.Os.Kernel.build.Aft.ab_name
         (if st.Os.Kernel.enabled then "running" else "DISABLED");
       (match st.Os.Kernel.last_fault with
@@ -64,7 +64,7 @@ let run mode scenario seconds trace trace_format profile expect_fault apps () =
           Format.printf "  %-18s %6d events, avg %5d cycles@." handler
             s.Os.Kernel.hs_count
             (s.Os.Kernel.hs_cycles / max 1 s.Os.Kernel.hs_count))
-        (Os.Kernel.handler_profiles st);
+        (Os.Kernel.handler_profiles records ~app);
       match st.Os.Kernel.last_forensics with
       | Some dump -> Format.printf "%s" dump
       | None -> ())

@@ -16,6 +16,7 @@ type app_profile = {
   ap_mode : Iso.mode;
   ap_handlers : handler_profile list;
   ap_cycles_per_week : float;
+  ap_states : ((int * string) * Os.Kernel.handler_stats) list;
 }
 
 let seconds_per_week = 7.0 *. 86_400.0
@@ -44,21 +45,23 @@ let rates_of_app (app : Os.Kernel.app_state) =
   in
   sensor_rates @ timer_rate
 
-let profile_app ?(scenario = Os.Sensors.Walking) ?(warmup_ms = 90_000) ?obs
-    ~mode (app : Apps.app) =
+let profile_app ?(scenario = Os.Sensors.Walking) ?(warmup_ms = 90_000) ~mode
+    (app : Apps.app) =
   let fw = Aft.build ~mode [ Apps.spec_for mode app ] in
-  let k = Os.Kernel.create ~scenario ?obs fw in
-  let _ = Os.Kernel.run_for_ms k warmup_ms in
+  let k = Os.Kernel.create ~scenario fw in
+  let records = Os.Kernel.run_for_ms k warmup_ms in
   let st = Os.Kernel.app_by_name k app.Apps.name in
   (match st.Os.Kernel.last_fault with
   | Some f ->
     failwith (Printf.sprintf "ARP: %s faulted during profiling: %s" app.Apps.name f)
   | None -> ());
+  let index = st.Os.Kernel.build.Aft.ab_layout.Amulet_aft.Layout.index in
+  let measured = Os.Kernel.handler_profiles records ~app:index in
   let handlers =
     List.filter_map
       (fun (handler, events_per_week) ->
-        match Os.Kernel.handler_profile st handler with
-        | Some s when s.Os.Kernel.hs_count > 0 ->
+        match List.assoc_opt handler measured with
+        | Some s ->
           let n = float_of_int s.Os.Kernel.hs_count in
           Some
             {
@@ -83,6 +86,7 @@ let profile_app ?(scenario = Os.Sensors.Walking) ?(warmup_ms = 90_000) ?obs
     ap_mode = mode;
     ap_handlers = handlers;
     ap_cycles_per_week = cycles_per_week;
+    ap_states = Os.Kernel.state_profile records ~app:index;
   }
 
 let overhead_cycles_per_week ~baseline profiled =

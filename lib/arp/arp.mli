@@ -4,8 +4,8 @@
     state/transition, combines them with developer-declared event
     rates, and extrapolates weekly cycle counts and energy.  This
     implementation measures each handler by running it in the kernel
-    on the simulated MCU (warm-up period, then per-event averages from
-    the kernel's handler statistics) and reads the event rates
+    on the simulated MCU (warm-up period, then per-event averages
+    folded from the dispatch records) and reads the event rates
     directly from the app's own subscriptions and timers — the same
     extrapolation with measured rather than hand-annotated inputs.
 
@@ -25,21 +25,24 @@ type app_profile = {
   ap_mode : Amulet_cc.Isolation.mode;
   ap_handlers : handler_profile list;
   ap_cycles_per_week : float;  (** all handler cycles, extrapolated *)
+  ap_states : ((int * string) * Amulet_os.Kernel.handler_stats) list;
+      (** ARP-view per-state accounting of the warm-up:
+          {!Amulet_os.Kernel.state_profile} of its dispatch records,
+          keyed by (app [state] when the event arrived, handler).
+          Empty for apps without a [state] global. *)
 }
 
 val profile_app :
   ?scenario:Amulet_os.Sensors.scenario ->
   ?warmup_ms:int ->
-  ?obs:Amulet_obs.Obs.t ->
   mode:Amulet_cc.Isolation.mode ->
   Amulet_apps.Suite.app ->
   app_profile
 (** Build a single-app firmware, run the app for the warm-up window
     (default 90 virtual seconds, enough for every app
-    timer to fire), and extrapolate to a week.  With [obs], the
-    kernel run streams dispatch spans into the context, so callers
-    can derive further views (e.g. per-state accounting) from the
-    trace records instead of re-running the app.
+    timer to fire), and extrapolate to a week.  The per-handler costs
+    and [ap_states] are both folded from the warm-up's dispatch
+    records.
     @raise Failure if the app faults while being profiled. *)
 
 val overhead_cycles_per_week :

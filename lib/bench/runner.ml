@@ -4,7 +4,6 @@ module M = Amulet_mcu.Machine
 module Os = Amulet_os
 module Apps = Amulet_apps.Suite
 module Obs = Amulet_obs.Obs
-module Agg = Amulet_obs.Agg
 module Hist = Amulet_obs.Hist
 module Profile = Amulet_obs.Profile
 module Energy = Amulet_arp.Energy
@@ -23,31 +22,30 @@ type mode_run = {
 let host_services_slug = "host_services"
 let hooks_off_suffix = "+hooks-off"
 
-(* One workload loop for both row kinds.  With [hooks] an Agg sink and
-   the cycle profiler are armed, which fills the handler-span
-   histogram and the per-class cycle split; without, the machine runs
-   on the predecoded-block fast path.  Simulated cycles and queue latencies
-   are identical either way — [run] asserts it — so the hooks-off rows
-   add only the host-side throughput of the fast engine. *)
+(* One workload loop for both row kinds.  With [hooks] the cycle
+   profiler is armed, which fills the per-class cycle split; without,
+   the machine runs on the predecoded-block fast path.  Simulated
+   cycles, queue latencies and handler durations are identical either
+   way — [run] asserts it — so the hooks-off rows add only the
+   host-side throughput of the fast engine. *)
 let run_mode ?(warmup = 100) ~hooks ~trials ~dispatches mode =
   let fw = Aft.build ~mode [ Apps.spec_for mode Apps.gateheavy ] in
-  let armed =
+  let obs =
     if hooks then begin
       let obs = Obs.create () in
-      let agg = Agg.create () in
-      Obs.add_sink obs (Agg.sink agg);
       Obs.enable_profile obs fw;
-      Some (obs, agg)
+      Some obs
     end
     else None
   in
-  let k =
-    Os.Kernel.create ~scenario:Os.Sensors.Walking ?obs:(Option.map fst armed)
-      fw
-  in
-  let latency = Hist.create () in
+  let k = Os.Kernel.create ~scenario:Os.Sensors.Walking ?obs fw in
+  let latency = Hist.create () and handler = Hist.create () in
   let record (r : Os.Kernel.dispatch_record) =
-    Hist.record latency r.Os.Kernel.dr_latency
+    Hist.record latency r.Os.Kernel.dr_latency;
+    if
+      r.Os.Kernel.dr_outcome <> Os.Kernel.No_handler
+      && Os.Event.handler_name r.Os.Kernel.dr_kind = "handle_button"
+    then Hist.record handler r.Os.Kernel.dr_cycles
   in
   List.iter record (Os.Kernel.run_for_ms k 5);
   let m = k.Os.Kernel.machine in
@@ -70,7 +68,7 @@ let run_mode ?(warmup = 100) ~hooks ~trials ~dispatches mode =
     dispatch_once ()
   done;
   let cats0 =
-    Option.bind armed (fun (obs, _) -> Obs.profile obs)
+    Option.bind obs Obs.profile
     |> Option.map (fun p -> (p, Profile.totals p))
   in
   let host0 = m.M.extra_cycles in
@@ -98,18 +96,13 @@ let run_mode ?(warmup = 100) ~hooks ~trials ~dispatches mode =
       @ [ (host_services_slug, m.M.extra_cycles - host0) ]
     | None -> []
   in
-  Option.iter (fun (obs, _) -> Obs.close obs) armed;
+  Option.iter Obs.close obs;
   {
     mr_mode = mode;
     mr_rates = rates;
     mr_trial_cycles = trial_cycles;
     mr_latency = latency;
-    mr_handler =
-      (match armed with
-      | Some (_, agg) ->
-        Option.value ~default:(Hist.create ())
-          (Agg.span_hist agg ~cat:"dispatch" ~name:"handle_button")
-      | None -> Hist.create ());
+    mr_handler = handler;
     mr_class_cycles = class_cycles;
     mr_measured_dispatches = trials * dispatches;
   }
@@ -148,9 +141,7 @@ let mode_row ~hooks (r : mode_run) =
       };
     m_cycles_per_dispatch = cycles_per_dispatch r;
     m_latency = Some r.mr_latency;
-    (* no profiler in a hooks-off run: the handler-span histogram and
-       the class breakdown are absent rather than empty-but-present *)
-    m_handler = (if hooks then Some r.mr_handler else None);
+    m_handler = Some r.mr_handler;
     m_class_cycles = r.mr_class_cycles;
     m_energy_per_dispatch_j =
       (if r.mr_measured_dispatches = 0 then None
@@ -182,9 +173,9 @@ let gate_costs ~runs () =
   }
 
 (* The armed and hooks-off runs drive identical workloads, so their
-   simulated cycle trajectories and queue latencies must agree
-   exactly: the fast engine is not allowed to change what the machine
-   computes, only how fast the host gets there. *)
+   simulated cycle trajectories, queue latencies and handler durations
+   must agree exactly: the fast engine is not allowed to change what
+   the machine computes, only how fast the host gets there. *)
 let assert_identity (armed : mode_run) (fast : mode_run) =
   let ints a = String.concat ";" (List.map string_of_int (Array.to_list a)) in
   if armed.mr_trial_cycles <> fast.mr_trial_cycles then
@@ -195,12 +186,15 @@ let assert_identity (armed : mode_run) (fast : mode_run) =
          (Iso.name armed.mr_mode)
          (ints armed.mr_trial_cycles)
          (ints fast.mr_trial_cycles));
-  if not (Hist.equal armed.mr_latency fast.mr_latency) then
-    failwith
-      (Format.asprintf
-         "predecode identity violated (%s): armed latency %a <> hooks-off %a"
-         (Iso.name armed.mr_mode) Hist.pp armed.mr_latency Hist.pp
-         fast.mr_latency)
+  let same what a b =
+    if not (Hist.equal a b) then
+      failwith
+        (Format.asprintf
+           "predecode identity violated (%s): armed %s %a <> hooks-off %a"
+           (Iso.name armed.mr_mode) what Hist.pp a Hist.pp b)
+  in
+  same "latency" armed.mr_latency fast.mr_latency;
+  same "handler" armed.mr_handler fast.mr_handler
 
 (* [armed] runs every mode twice (armed and hooks-off, identity
    asserted) and adds the deterministic gate costs; without it only

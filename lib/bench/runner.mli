@@ -2,11 +2,11 @@
     [amulet bench].
 
     Per isolation mode it drives the gateheavy app's button handler
-    back-to-back under the full kernel with an {!Amulet_obs.Agg} sink
-    and the cycle profiler armed, measuring host throughput over N
-    independent trials after a warmup, and collecting dispatch-latency
-    and handler-duration histograms plus the per-PC-class cycle split
-    that yields cycle-exact energy attribution. *)
+    back-to-back under the full kernel with the cycle profiler armed,
+    measuring host throughput over N independent trials after a
+    warmup, folding the dispatch records into dispatch-latency and
+    handler-duration histograms, and collecting the per-PC-class cycle
+    split that yields cycle-exact energy attribution. *)
 
 module Iso := Amulet_cc.Isolation
 module Hist := Amulet_obs.Hist
@@ -16,7 +16,8 @@ type mode_run = {
   mr_rates : float array;  (** cycles/sec, one per trial *)
   mr_trial_cycles : int array;  (** simulated cycles per trial *)
   mr_latency : Hist.t;  (** dispatch-latency cycles *)
-  mr_handler : Hist.t;  (** handler span durations *)
+  mr_handler : Hist.t;
+      (** [dr_cycles] of every handled [handle_button] dispatch *)
   mr_class_cycles : (string * int) list;
       (** profiler-class slug (plus [host_services]) -> cycles over
           the measured window *)
@@ -30,12 +31,11 @@ val run_mode :
   dispatches:int ->
   Iso.mode ->
   mode_run
-(** Drive one mode.  With [hooks] the Agg sink and the cycle profiler
-    are armed; without, the machine runs on the predecoded-block fast
-    path, and the handler histogram is empty and the class breakdown
-    absent — there is no profiler to fill them.  Simulated cycles and
-    the latency histogram (every dispatch's [dr_latency]) are the same
-    either way. *)
+(** Drive one mode.  With [hooks] the cycle profiler is armed; without,
+    the machine runs on the predecoded-block fast path and the class
+    breakdown is absent — there is no profiler to fill it.  Simulated
+    cycles and both histograms (every dispatch's [dr_latency], every
+    handled button dispatch's [dr_cycles]) are the same either way. *)
 
 val hooks_off_suffix : string
 (** ["+hooks-off"], appended to the mode name in snapshot rows. *)
@@ -54,7 +54,8 @@ val run :
   unit ->
   Schema.doc
 (** With [armed]: every mode armed and every mode hooks-off (the
-    simulated-cycle and latency identity between the two asserted),
+    simulated-cycle, latency and handler-duration identity between the
+    two asserted),
     plus the deterministic gate costs (context-switch cycles and the
     gate-certification ablation).  Without: the hooks-off rows only,
     for the CI speedup floor — cheap enough to run on every push.

@@ -337,117 +337,107 @@ let rate_verdict ~threshold ~mode ~(old_r : rate) ~(new_r : rate) =
       v_regressed = pct > tol && old_v -. new_v > noise;
     }
 
-let compare_docs ~current ~baseline ~det_threshold_pct ~rate_threshold_pct =
+(* The one comparability walk behind [compare_docs] and
+   [missing_in_baseline]: every metric the current snapshot carries
+   either meets a comparable baseline counterpart (its verdicts,
+   [Left]) or does not (its name, e.g. "latency p99 (mpu)", [Right]),
+   in snapshot order: mode rows, then context switch, then gate
+   certification. *)
+let walk ~current ~baseline ~det_threshold_pct ~rate_threshold_pct =
   let det = det_verdict ~threshold:det_threshold_pct in
-  let verdicts = ref [] in
-  let push v = verdicts := v :: !verdicts in
-  List.iter
-    (fun (m : mode_row) ->
-      match
-        List.find_opt (fun (b : mode_row) -> b.m_mode = m.m_mode)
-          baseline.d_modes
-      with
-      | None -> ()
-      | Some b ->
-        if b.m_cycles_per_dispatch > 0.0 && m.m_cycles_per_dispatch > 0.0 then
-          push
-            (det ~metric:"cycles/dispatch" ~mode:m.m_mode
-               ~old_v:b.m_cycles_per_dispatch ~new_v:m.m_cycles_per_dispatch);
-        (match (b.m_latency, m.m_latency) with
-        | Some bh, Some mh when not (Hist.is_empty bh || Hist.is_empty mh) ->
-          push
-            (det ~metric:"latency p99" ~mode:m.m_mode
-               ~old_v:(float_of_int (Hist.quantile bh 0.99))
-               ~new_v:(float_of_int (Hist.quantile mh 0.99)))
-        | _ -> ());
-        (match (b.m_energy_per_dispatch_j, m.m_energy_per_dispatch_j) with
-        | Some bj, Some mj when bj > 0.0 ->
-          push
-            (det ~metric:"energy/dispatch" ~mode:m.m_mode ~old_v:bj ~new_v:mj)
-        | _ -> ());
-        if b.m_rate.r_trials <> [] && m.m_rate.r_trials <> [] then
-          push
-            (rate_verdict ~threshold:rate_threshold_pct ~mode:m.m_mode
-               ~old_r:b.m_rate ~new_r:m.m_rate))
-    current.d_modes;
-  List.iter
-    (fun (mode, new_v) ->
-      match List.assoc_opt mode baseline.d_gate.g_ctx_switch with
-      | Some old_v when old_v > 0.0 ->
-        push (det ~metric:"ctx-switch cycles" ~mode ~old_v ~new_v)
-      | _ -> ())
-    current.d_gate.g_ctx_switch;
-  List.iter
-    (fun (c : cert_row) ->
-      match
-        List.find_opt (fun (b : cert_row) -> b.c_mode = c.c_mode)
-          baseline.d_gate.g_cert
-      with
-      | None -> ()
-      | Some b ->
-        push
-          (det ~metric:"gate dynamic cycles" ~mode:c.c_mode ~old_v:b.c_dynamic
-             ~new_v:c.c_dynamic);
-        push
-          (det ~metric:"gate certified cycles" ~mode:c.c_mode
-             ~old_v:b.c_certified ~new_v:c.c_certified);
+  let gap name mode = [ Either.Right (Printf.sprintf "%s (%s)" name mode) ] in
+  (* [cur]: the current side carries the metric; [base]: the baseline
+     has a comparable value for it *)
+  let pair name mode cur base verdicts =
+    match (cur, base) with
+    | Some c, Some b -> List.map Either.left (verdicts b c)
+    | Some _, None -> gap name mode
+    | None, _ -> []
+  in
+  let positive x = if x > 0.0 then Some x else None in
+  let nonempty = function
+    | Some h when not (Hist.is_empty h) -> Some h
+    | _ -> None
+  in
+  let p99 h = float_of_int (Hist.quantile h 0.99) in
+  let mode_row (m : mode_row) =
+    let mode = m.m_mode in
+    match
+      List.find_opt (fun (b : mode_row) -> b.m_mode = mode) baseline.d_modes
+    with
+    | None ->
+      [ Either.Right (Printf.sprintf "mode %s (absent from baseline)" mode) ]
+    | Some b ->
+      let trials (r : rate) = if r.r_trials <> [] then Some r else None in
+      List.concat
+        [
+          pair "cycles/dispatch" mode (positive m.m_cycles_per_dispatch)
+            (positive b.m_cycles_per_dispatch) (fun old_v new_v ->
+              [ det ~metric:"cycles/dispatch" ~mode ~old_v ~new_v ]);
+          pair "latency p99" mode (nonempty m.m_latency)
+            (nonempty b.m_latency) (fun bh mh ->
+              [
+                det ~metric:"latency p99" ~mode ~old_v:(p99 bh)
+                  ~new_v:(p99 mh);
+              ]);
+          pair "energy/dispatch" mode m.m_energy_per_dispatch_j
+            (Option.bind b.m_energy_per_dispatch_j positive)
+            (fun old_v new_v ->
+              [ det ~metric:"energy/dispatch" ~mode ~old_v ~new_v ]);
+          pair "cycles/sec" mode (trials m.m_rate) (trials b.m_rate)
+            (fun old_r new_r ->
+              [
+                rate_verdict ~threshold:rate_threshold_pct ~mode ~old_r
+                  ~new_r;
+              ]);
+        ]
+  in
+  let ctx_row (mode, new_v) =
+    match
+      Option.bind (List.assoc_opt mode baseline.d_gate.g_ctx_switch) positive
+    with
+    | Some old_v ->
+      [ Either.Left (det ~metric:"ctx-switch cycles" ~mode ~old_v ~new_v) ]
+    | None when new_v > 0.0 -> gap "ctx-switch cycles" mode
+    | None -> []
+  in
+  let cert_row (c : cert_row) =
+    let mode = c.c_mode in
+    pair "gate cert cycles" mode (Some c)
+      (List.find_opt
+         (fun (b : cert_row) -> b.c_mode = mode)
+         baseline.d_gate.g_cert)
+      (fun b c ->
+        [
+          det ~metric:"gate dynamic cycles" ~mode ~old_v:b.c_dynamic
+            ~new_v:c.c_dynamic;
+          det ~metric:"gate certified cycles" ~mode ~old_v:b.c_certified
+            ~new_v:c.c_certified;
+        ]
+        @
         if b.c_per_gate > 0.0 then
-          push
-            (det ~metric:"cycles/gate" ~mode:c.c_mode ~old_v:b.c_per_gate
-               ~new_v:c.c_per_gate))
-    current.d_gate.g_cert;
-  List.rev !verdicts
+          [
+            det ~metric:"cycles/gate" ~mode ~old_v:b.c_per_gate
+              ~new_v:c.c_per_gate;
+          ]
+        else [])
+  in
+  List.concat_map mode_row current.d_modes
+  @ List.concat_map ctx_row current.d_gate.g_ctx_switch
+  @ List.concat_map cert_row current.d_gate.g_cert
+
+let compare_docs ~current ~baseline ~det_threshold_pct ~rate_threshold_pct =
+  List.filter_map Either.find_left
+    (walk ~current ~baseline ~det_threshold_pct ~rate_threshold_pct)
 
 let regressed vs = List.exists (fun v -> v.v_regressed) vs
 
-(* Metrics the current snapshot carries that the baseline cannot gate,
-   using the same comparability conditions as [compare_docs] — each
-   entry reads like "latency p99 (mpu)".  Surfacing the list keeps a
-   quiet comparison from being mistaken for a passing one. *)
+(* Surfacing what [compare_docs] skipped keeps a quiet comparison from
+   being mistaken for a passing one.  The thresholds only grade the
+   verdicts, which are dropped here. *)
 let missing_in_baseline ~current ~baseline =
-  let misses = ref [] in
-  let push fmt = Printf.ksprintf (fun s -> misses := s :: !misses) fmt in
-  List.iter
-    (fun (m : mode_row) ->
-      match
-        List.find_opt (fun (b : mode_row) -> b.m_mode = m.m_mode)
-          baseline.d_modes
-      with
-      | None -> push "mode %s (absent from baseline)" m.m_mode
-      | Some b ->
-        let nonempty = function
-          | Some h -> not (Hist.is_empty h)
-          | None -> false
-        in
-        if m.m_cycles_per_dispatch > 0.0 && b.m_cycles_per_dispatch <= 0.0
-        then push "cycles/dispatch (%s)" m.m_mode;
-        if nonempty m.m_latency && not (nonempty b.m_latency) then
-          push "latency p99 (%s)" m.m_mode;
-        if
-          m.m_energy_per_dispatch_j <> None
-          && (match b.m_energy_per_dispatch_j with
-             | Some bj -> bj <= 0.0
-             | None -> true)
-        then push "energy/dispatch (%s)" m.m_mode;
-        if m.m_rate.r_trials <> [] && b.m_rate.r_trials = [] then
-          push "cycles/sec (%s)" m.m_mode)
-    current.d_modes;
-  List.iter
-    (fun (mode, new_v) ->
-      if new_v > 0.0 then
-        match List.assoc_opt mode baseline.d_gate.g_ctx_switch with
-        | Some old_v when old_v > 0.0 -> ()
-        | _ -> push "ctx-switch cycles (%s)" mode)
-    current.d_gate.g_ctx_switch;
-  List.iter
-    (fun (c : cert_row) ->
-      if
-        not
-          (List.exists (fun (b : cert_row) -> b.c_mode = c.c_mode)
-             baseline.d_gate.g_cert)
-      then push "gate cert cycles (%s)" c.c_mode)
-    current.d_gate.g_cert;
-  List.rev !misses
+  List.filter_map Either.find_right
+    (walk ~current ~baseline ~det_threshold_pct:0.0 ~rate_threshold_pct:None)
 
 let pp_verdicts ppf vs =
   (* values span cycles (10^6) down to joules/dispatch (10^-7) *)

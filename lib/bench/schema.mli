@@ -96,5 +96,8 @@ val pp_verdicts : Format.formatter -> verdict list -> unit
 
 val missing_in_baseline : current:doc -> baseline:doc -> string list
 (** Human-readable list of metrics the current snapshot carries that
-    the baseline lacks — what {!compare_docs} silently skipped.  Empty
-    when every current metric found a baseline counterpart. *)
+    the baseline lacks — what {!compare_docs} silently skipped, in its
+    order.  Both come from one comparability walk, so a metric the
+    current snapshot carries is either compared or listed here, never
+    both.  Empty when every current metric found a baseline
+    counterpart. *)

@@ -38,11 +38,6 @@ let names = List.map fst signatures
 let exists name = List.mem_assoc name signatures
 let gate_label name = "__gate_" ^ name
 
-let arg_count name =
-  match List.assoc name signatures with
-  | Func (_, args) -> List.length args
-  | _ -> assert false
-
 (* ------------------------------------------------------------------ *)
 (* Service cost model.
 

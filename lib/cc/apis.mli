@@ -18,10 +18,6 @@ val exists : string -> bool
 val gate_label : string -> string
 (** Linker symbol of the gate stub for an API name. *)
 
-val arg_count : string -> int
-(** Number of declared parameters.
-    @raise Not_found for unknown names. *)
-
 (** {1 Service cost model}
 
     The single source of truth for service dispatch costs: the kernel

@@ -14,7 +14,6 @@ let table1 mode op =
   | Context_switch, Iso.Software_only -> 98
 
 let figure2_battery_bound_percent = 0.5
-let figure3_cases = [ "Activity Case 1"; "Activity Case 2"; "Quicksort" ]
 
 let expected_order_memory_access =
   [ Iso.No_isolation; Iso.Mpu_assisted; Iso.Software_only; Iso.Feature_limited ]

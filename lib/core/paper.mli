@@ -13,9 +13,6 @@ val figure2_battery_bound_percent : float
 (** "For all applications, isolation using either the MPU or Software
     Only methods has less than a 0.5% impact on battery lifetime." *)
 
-val figure3_cases : string list
-(** Activity Case 1, Activity Case 2, Quicksort. *)
-
 val expected_order_memory_access : Amulet_cc.Isolation.mode list
 (** Cheapest first: NoIsolation < MPU < SoftwareOnly < FeatureLimited. *)
 

@@ -88,11 +88,6 @@ let mode_devices t =
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 
-let traffic_kind_name = function
-  | Button -> "button"
-  | Ble -> "ble"
-  | Tick -> "tick"
-
 let strip_comment line =
   match String.index_opt line '#' with
   | Some i -> String.sub line 0 i

@@ -76,7 +76,6 @@ val device_mode : t -> index:int -> Amulet_cc.Isolation.mode
 val mode_devices : t -> (Amulet_cc.Isolation.mode * int) list
 (** How many of [sc_devices] land on each mode of the mix. *)
 
-val traffic_kind_name : traffic_kind -> string
 val pp : Format.formatter -> t -> unit
 
 (** Deterministic splitmix64 stream, shared by the traffic generator

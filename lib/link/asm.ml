@@ -31,14 +31,9 @@ type item =
 let r_pc = 0
 let r_sp = 1
 let r_sr = 2
-let r_ret = 12
-let r_arg2 = 13
-let r_arg3 = 14
-let r_arg4 = 15
 let r_fp = 4
 
 let mov s d = Ins (I1 (O.MOV, W.W16, s, d))
-let movb s d = Ins (I1 (O.MOV, W.W8, s, d))
 let add s d = Ins (I1 (O.ADD, W.W16, s, d))
 let sub s d = Ins (I1 (O.SUB, W.W16, s, d))
 let cmp s d = Ins (I1 (O.CMP, W.W16, s, d))
@@ -64,40 +59,3 @@ let imm n = Simm (Num n)
 let sym s = Simm (Sym s)
 let label l = Label l
 
-let pp_expr ppf = function
-  | Num n -> Format.fprintf ppf "%d" n
-  | Sym s -> Format.fprintf ppf "%s" s
-  | Off (s, n) -> Format.fprintf ppf "%s%+d" s n
-
-let pp_src ppf = function
-  | Sreg r -> Format.fprintf ppf "R%d" r
-  | Sidx (r, e) -> Format.fprintf ppf "%a(R%d)" pp_expr e r
-  | Sabs e -> Format.fprintf ppf "&%a" pp_expr e
-  | Sind r -> Format.fprintf ppf "@R%d" r
-  | Sinc r -> Format.fprintf ppf "@R%d+" r
-  | Simm e -> Format.fprintf ppf "#%a" pp_expr e
-
-let pp_dst ppf = function
-  | Dreg r -> Format.fprintf ppf "R%d" r
-  | Didx (r, e) -> Format.fprintf ppf "%a(R%d)" pp_expr e r
-  | Dabs e -> Format.fprintf ppf "&%a" pp_expr e
-
-let suffix = function W.W8 -> ".B" | W.W16 -> ""
-
-let pp_insn ppf = function
-  | I1 (op, w, s, d) ->
-    Format.fprintf ppf "%s%s %a, %a" (O.op2_name op) (suffix w) pp_src s
-      pp_dst d
-  | I2 (op, w, s) ->
-    Format.fprintf ppf "%s%s %a" (O.op1_name op) (suffix w) pp_src s
-  | Ijmp (c, l) -> Format.fprintf ppf "%s %s" (O.cond_name c) l
-  | Ireti -> Format.fprintf ppf "RETI"
-
-let pp_item ppf = function
-  | Ins i -> Format.fprintf ppf "        %a" pp_insn i
-  | Label l -> Format.fprintf ppf "%s:" l
-  | Dword e -> Format.fprintf ppf "        .word %a" pp_expr e
-  | Dbytes s -> Format.fprintf ppf "        .bytes (%d)" (String.length s)
-  | Space n -> Format.fprintf ppf "        .space %d" n
-  | Align2 -> Format.fprintf ppf "        .align 2"
-  | Comment c -> Format.fprintf ppf "; %s" c

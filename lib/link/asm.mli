@@ -38,25 +38,11 @@ type item =
   | Align2  (** pad to even address *)
   | Comment of string
 
-val pp_item : Format.formatter -> item -> unit
-
 (* Registers by role. *)
 
 val r_pc : int
 val r_sp : int
 val r_sr : int
-
-(** R12: return value / first argument (TI convention) *)
-val r_ret : int
-
-(** R13 *)
-val r_arg2 : int
-
-(** R14 *)
-val r_arg3 : int
-
-(** R15 *)
-val r_arg4 : int
 
 (** R4: frame pointer *)
 val r_fp : int
@@ -64,7 +50,6 @@ val r_fp : int
 (* Convenience constructors (word width unless noted). *)
 
 val mov : src -> dst -> item
-val movb : src -> dst -> item
 val add : src -> dst -> item
 val sub : src -> dst -> item
 val cmp : src -> dst -> item

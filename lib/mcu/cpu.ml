@@ -153,5 +153,3 @@ let step t =
   t.cycles <- t.cycles + Cycles.cycles instr;
   t.insns <- t.insns + 1;
   instr
-
-let call_depth_hint t = Registers.get_sp t.regs

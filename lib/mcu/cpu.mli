@@ -53,6 +53,3 @@ val exec_fmt2 :
 val exec_reti : t -> unit
 
 val cond_true : Registers.t -> Opcode.cond -> bool
-
-val call_depth_hint : t -> int
-(** Stack pointer value, useful to assert stack discipline in tests. *)

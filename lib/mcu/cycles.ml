@@ -68,5 +68,3 @@ let cycles = function
   | Fmt2 (op, w, src) -> fmt2_table op (classify_src w src)
   | Jump _ -> 2
   | Reti -> 5
-
-let interrupt_latency = 6

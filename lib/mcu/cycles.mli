@@ -8,6 +8,3 @@
 
 val cycles : Opcode.t -> int
 (** Execution cycles for one instruction. *)
-
-val interrupt_latency : int
-(** Cycles from interrupt acceptance to the first handler instruction. *)

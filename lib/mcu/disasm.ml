@@ -63,6 +63,3 @@ let pp_line ppf l =
     Format.fprintf ppf "%04X: %-14s %s" l.addr
       (String.concat " " (List.map (Printf.sprintf "%04X") l.words))
       l.text
-
-let pp_listing ppf lines =
-  List.iter (fun l -> Format.fprintf ppf "%a@." pp_line l) lines

@@ -20,5 +20,3 @@ val range :
     jump/call targets are annotated. *)
 
 val pp_line : Format.formatter -> line -> unit
-
-val pp_listing : Format.formatter -> line list -> unit

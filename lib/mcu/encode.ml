@@ -76,10 +76,6 @@ let src_needs_ext width s =
   let _, _, ext = encode_src width s in
   ext <> None
 
-let dst_needs_ext d =
-  let _, _, ext = encode_dst d in
-  ext <> None
-
 let bw_bit = function Word.W8 -> 1 | Word.W16 -> 0
 
 let encode ?(no_cg_imm = false) instr =

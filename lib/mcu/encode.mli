@@ -21,4 +21,3 @@ val length_bytes : ?no_cg_imm:bool -> Opcode.t -> int
 (** Encoded size in bytes without materializing the words. *)
 
 val src_needs_ext : Word.width -> Opcode.src -> bool
-val dst_needs_ext : Opcode.dst -> bool

@@ -21,7 +21,6 @@ let vectors_start = 0xFF80
 let vectors_limit = 0x10000
 let address_space = 0x10000
 let reset_vector = 0xFFFE
-let mpu_fault_vector = 0xFFF2
 
 let region_of_addr a =
   if a >= fram_start && a < fram_limit then Fram

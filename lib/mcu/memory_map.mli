@@ -46,6 +46,3 @@ val address_space : int
 
 val reset_vector : int
 (** Address holding the reset entry point (0xFFFE). *)
-
-val mpu_fault_vector : int
-(** Address holding the MPU-violation (system NMI) entry point. *)

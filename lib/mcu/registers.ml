@@ -3,7 +3,6 @@ type t = int array
 let pc = 0
 let sp = 1
 let sr = 2
-let cg2 = 3
 
 let create () = Array.make 16 0
 let get t n = t.(n)
@@ -16,7 +15,6 @@ let set_sp t v = set t sp v
 let bit_c = 0x0001
 let bit_z = 0x0002
 let bit_n = 0x0004
-let bit_gie = 0x0008
 let bit_v = 0x0100
 
 let flag t bit = t.(sr) land bit <> 0
@@ -28,16 +26,10 @@ let carry t = flag t bit_c
 let zero t = flag t bit_z
 let negative t = flag t bit_n
 let overflow t = flag t bit_v
-let gie t = flag t bit_gie
 let set_carry t b = set_flag t bit_c b
 let set_zero t b = set_flag t bit_z b
 let set_negative t b = set_flag t bit_n b
 let set_overflow t b = set_flag t bit_v b
-let set_gie t b = set_flag t bit_gie b
-
-let set_nz t width v =
-  set_zero t (Word.norm width v = 0);
-  set_negative t (Word.is_negative width v)
 
 let copy = Array.copy
 

@@ -9,7 +9,6 @@ type t
 val pc : int
 val sp : int
 val sr : int
-val cg2 : int
 
 val create : unit -> t
 val get : t -> int -> int
@@ -21,22 +20,17 @@ val get_sp : t -> int
 val set_sp : t -> int -> unit
 
 (** Status-register flag accessors (bit positions follow the MSP430:
-    C=0, Z=1, N=2, GIE=3, V=8). *)
+    C=0, Z=1, N=2, V=8). *)
 
 val carry : t -> bool
 val zero : t -> bool
 val negative : t -> bool
 val overflow : t -> bool
-val gie : t -> bool
 
 val set_carry : t -> bool -> unit
 val set_zero : t -> bool -> unit
 val set_negative : t -> bool -> unit
 val set_overflow : t -> bool -> unit
-val set_gie : t -> bool -> unit
-
-val set_nz : t -> Word.width -> int -> unit
-(** Set N and Z from a result value of the given width. *)
 
 val copy : t -> t
 val pp : Format.formatter -> t -> unit

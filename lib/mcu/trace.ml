@@ -18,8 +18,6 @@ let reset_stats s =
   s.data_reads <- 0;
   s.data_writes <- 0
 
-let data_accesses s = s.data_reads + s.data_writes
-
 type ring = { buf : event option array; mutable next : int; mutable count : int }
 
 let create_ring ~capacity =

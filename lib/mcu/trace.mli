@@ -20,9 +20,6 @@ type stats = {
 val create_stats : unit -> stats
 val reset_stats : stats -> unit
 
-val data_accesses : stats -> int
-(** Reads plus writes. *)
-
 type ring
 (** Fixed-capacity recorder of the most recent events. *)
 

@@ -48,5 +48,3 @@ let sign_extend_byte v =
   let b = v land 0xFF in
   if b land 0x80 <> 0 then b lor 0xFF00 else b
 
-let low_byte v = v land 0xFF
-let high_byte v = (v lsr 8) land 0xFF

@@ -49,5 +49,3 @@ val swap_bytes : int -> int
 val sign_extend_byte : int -> int
 (** Sign-extend bits 7..0 into a 16-bit value (SXT). *)
 
-val low_byte : int -> int
-val high_byte : int -> int

@@ -198,30 +198,6 @@ let records_of_string text =
     | j -> records_of_document j
     | exception Json.Parse_error _ -> jsonl ()
 
-let pp_args ppf args =
-  List.iter
-    (fun (k, v) ->
-      match v with
-      | Vint n -> Format.fprintf ppf " %s=%d" k n
-      | Vstr s -> Format.fprintf ppf " %s=%s" k s)
-    args
-
-let console_sink ppf =
-  {
-    output =
-      (fun r ->
-        (match r with
-        | Span { name; cat; ts; dur; tid; args } ->
-          Format.fprintf ppf "[%10d] span    %-20s %s tid=%d dur=%d%a@." ts
-            name cat tid dur pp_args args
-        | Instant { name; cat; ts; tid; args } ->
-          Format.fprintf ppf "[%10d] instant %-20s %s tid=%d%a@." ts name cat
-            tid pp_args args
-        | Counter { name; ts; value } ->
-          Format.fprintf ppf "[%10d] counter %-20s = %d@." ts name value));
-    close = (fun () -> Format.pp_print_flush ppf ());
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Context *)
 

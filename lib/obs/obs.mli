@@ -66,9 +66,6 @@ val records_of_string : string -> record list
     @raise Json.Parse_error on malformed input, naming the 1-based line
     for JSONL. *)
 
-val console_sink : Format.formatter -> sink
-(** Human-readable line per record. *)
-
 (** {1 Context} *)
 
 type t

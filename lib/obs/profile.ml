@@ -21,9 +21,6 @@ let category_slug = function
   | Mpu_config -> "mpu_config"
   | Kernel -> "kernel"
 
-let category_of_slug s =
-  List.find_opt (fun c -> category_slug c = s) categories
-
 let counter_name c = "profile." ^ category_slug c ^ ".cycles"
 
 let cat_index = function

@@ -18,8 +18,6 @@ val category_slug : category -> string
 (** Stable machine-readable name ([app_code], [guard], [os_gate],
     [mpu_config], [kernel]) used in counter names and JSON schemas. *)
 
-val category_of_slug : string -> category option
-
 val counter_name : category -> string
 (** [profile.<slug>.cycles] — the counter {!Obs.emit_profile_counters}
     publishes the category's cumulative cycle total under. *)

@@ -62,4 +62,3 @@ let pp ppf t =
 
 let cycles_per_ms = 16_000
 let ms_to_cycles ms = ms * cycles_per_ms
-let cycles_to_ms cy = cy / cycles_per_ms

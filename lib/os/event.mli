@@ -43,4 +43,3 @@ val cycles_per_ms : int
 (** 16 MHz core: 16000 cycles per millisecond. *)
 
 val ms_to_cycles : int -> int
-val cycles_to_ms : int -> int

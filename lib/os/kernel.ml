@@ -20,6 +20,7 @@ type dispatch_record = {
   dr_writes : int;
   dr_api_calls : int;
   dr_outcome : outcome;
+  dr_state : int option;
 }
 
 type handler_stats = {
@@ -42,11 +43,6 @@ type app_state = {
   certified_gates : string list;
       (* services whose gate-pointer validation the static certifier
          proved redundant (the image's [cert.gates.<app>] note) *)
-  by_handler : (string, handler_stats) Hashtbl.t;
-      (* dispatch totals per handler *)
-  by_state : (int * string, handler_stats) Hashtbl.t;
-      (* the same totals split by the app's [state] value when the
-         event arrived (ARP view) *)
   state_addr : int option;
       (* address of the app's "state" global, when it declares one *)
   handlers : int option array; (* entry address per Event.handler_index *)
@@ -62,7 +58,6 @@ type t = {
   obs : Obs.t option;
   mutable now : int;
   mutable vbase : int;
-  mutable dispatches : int;
   mutable current_app : int;
   os_code_sum : int;
       (* checksum of the OS code region taken right after boot; the
@@ -174,8 +169,6 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
              certified_gates =
                Amulet_analysis.Gate_taint.stamped fw.Aft.fw_image
                  ~prefix:build.Aft.ab_name;
-             by_handler = Hashtbl.create 4;
-             by_state = Hashtbl.create 4;
              state_addr =
                (if Amulet_link.Image.has_symbol fw.Aft.fw_image state_sym then
                   Some (Amulet_link.Image.symbol fw.Aft.fw_image state_sym)
@@ -195,7 +188,6 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
       apps; policy; obs;
       now = M.cycles machine;
       vbase = 0;
-      dispatches = 0;
       current_app = -1;
       os_code_sum =
         region_checksum machine ~base:fw.Aft.fw_layout.Amulet_aft.Layout.os_code_base
@@ -251,28 +243,11 @@ let handle_fault t (app : app_state) msg =
       post t ~delay_ms:1 ~app:index Event.Init ~arg:0
     end
 
-let add_stats tbl key r =
-  let s =
-    match Hashtbl.find_opt tbl key with
-    | Some s -> s
-    | None ->
-      { hs_count = 0; hs_cycles = 0; hs_reads = 0; hs_writes = 0;
-        hs_api_calls = 0 }
-  in
-  Hashtbl.replace tbl key
-    {
-      hs_count = s.hs_count + 1;
-      hs_cycles = s.hs_cycles + r.dr_cycles;
-      hs_reads = s.hs_reads + r.dr_reads;
-      hs_writes = s.hs_writes + r.dr_writes;
-      hs_api_calls = s.hs_api_calls + r.dr_api_calls;
-    }
-
 let no_handler (e : Event.t) =
   {
     dr_app = e.Event.app; dr_kind = e.Event.kind; dr_cycles = 0;
     dr_latency = 0; dr_reads = 0; dr_writes = 0; dr_api_calls = 0;
-    dr_outcome = No_handler;
+    dr_outcome = No_handler; dr_state = None;
   }
 
 let dispatch_event t (e : Event.t) =
@@ -340,14 +315,9 @@ let dispatch_event t (e : Event.t) =
           dr_writes = m.M.stats.Amulet_mcu.Trace.data_writes - writes0;
           dr_api_calls = t.api.Api.calls - api0;
           dr_outcome = outcome;
+          dr_state = state_before;
         }
       in
-      add_stats app.by_handler handler record;
-      (* ARP-view accounting: attribute the dispatch to the state the
-         app's machine was in when the event arrived *)
-      (match state_before with
-      | Some st -> add_stats app.by_state (st, handler) record
-      | None -> ());
       (match t.obs with
       | Some obs ->
         let outcome_str =
@@ -366,14 +336,13 @@ let dispatch_event t (e : Event.t) =
             ("api_calls", Obs.Vint record.dr_api_calls);
           ]
           @
-          match state_before with
+          match record.dr_state with
           | Some st -> [ ("state", Obs.Vint st) ]
           | None -> []
         in
         Obs.span obs ~cat:"dispatch" ~tid:e.Event.app ~args ~name:handler
           ~ts:t.now ~dur:record.dr_cycles ()
       | None -> ());
-      t.dispatches <- t.dispatches + 1;
       record
 
 (* Re-arm periodic sources after delivering one of their events. *)
@@ -442,13 +411,39 @@ let app_by_name t name =
   | Some a -> a
   | None -> raise Not_found
 
-let handler_profile app handler = Hashtbl.find_opt app.by_handler handler
+(* The one dispatch accounting: [key] picks the bucket of each handled
+   record of [app] (or drops it), and each bucket sums its records. *)
+let fold_profile ~key records ~app =
+  let zero =
+    { hs_count = 0; hs_cycles = 0; hs_reads = 0; hs_writes = 0;
+      hs_api_calls = 0 }
+  in
+  let add s r =
+    {
+      hs_count = s.hs_count + 1;
+      hs_cycles = s.hs_cycles + r.dr_cycles;
+      hs_reads = s.hs_reads + r.dr_reads;
+      hs_writes = s.hs_writes + r.dr_writes;
+      hs_api_calls = s.hs_api_calls + r.dr_api_calls;
+    }
+  in
+  List.fold_left
+    (fun acc r ->
+      match key r with
+      | Some k when r.dr_app = app && r.dr_outcome <> No_handler ->
+        let s = Option.value ~default:zero (List.assoc_opt k acc) in
+        (k, add s r) :: List.remove_assoc k acc
+      | _ -> acc)
+    [] records
+  |> List.sort compare
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k s acc -> (k, s) :: acc) tbl [] |> List.sort compare
+let handler_profiles records ~app =
+  fold_profile records ~app ~key:(fun r ->
+      Some (Event.handler_name r.dr_kind))
 
-let handler_profiles app = sorted_bindings app.by_handler
-let state_profile app = sorted_bindings app.by_state
+let state_profile records ~app =
+  fold_profile records ~app ~key:(fun r ->
+      Option.map (fun st -> (st, Event.handler_name r.dr_kind)) r.dr_state)
 
 let display_line t n = t.api.Api.display.(n land 3)
 let log_contents t = Buffer.contents t.api.Api.log

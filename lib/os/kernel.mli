@@ -10,7 +10,12 @@
 
     Virtual time is counted in CPU cycles (16 MHz); events carry cycle
     timestamps and the clock advances to [max now event.at] before a
-    dispatch, then by however long the handler ran. *)
+    dispatch, then by however long the handler ran.
+
+    The kernel keeps no dispatch accounting of its own: every dispatch
+    returns a {!dispatch_record}, and per-handler and per-state totals
+    ({!handler_profiles}, {!state_profile}) are a pure fold over the
+    records a caller collected. *)
 
 type fault_policy =
   | Disable  (** a faulting app is switched off (default) *)
@@ -21,7 +26,8 @@ type outcome =
   | No_handler
   | App_fault of string  (** MPU violation / check fault / runaway *)
 
-(** Measured cost of one handler dispatch. *)
+(** Measured cost of one handler dispatch — the kernel's only dispatch
+    accounting. *)
 type dispatch_record = {
   dr_app : int;
   dr_kind : Event.kind;
@@ -36,10 +42,14 @@ type dispatch_record = {
   dr_writes : int;
   dr_api_calls : int;
   dr_outcome : outcome;
+  dr_state : int option;
+      (** value of the app's [state] global when the event arrived
+          (the ARP-view key, and the dispatch span's [state] arg);
+          [None] for apps without one and for [No_handler] *)
 }
 
-(** Accumulated per-(app, handler) profile snapshot — the input ARP
-    needs. *)
+(** Dispatch totals of one bucket of records (see {!handler_profiles})
+    — the input ARP needs. *)
 type handler_stats = {
   hs_count : int;
   hs_cycles : int;
@@ -64,14 +74,9 @@ type app_state = {
           proved redundant for this app (from the image's
           [cert.gates.<app>] note); {!Api.dispatch} skips the dynamic
           range walk for them *)
-  by_handler : (string, handler_stats) Hashtbl.t;
-      (** dispatch totals per handler (see {!handler_profile}) *)
-  by_state : (int * string, handler_stats) Hashtbl.t;
-      (** the same totals per ([state] value at dispatch, handler)
-          (see {!state_profile}) *)
   state_addr : int option;
       (** address of the app's [state] global, when it declares one —
-          enables the ARP-view per-state accounting *)
+          read into each record's [dr_state] *)
   handlers : int option array;
       (** handler entry address per {!Event.handler_index}, resolved
           once at {!create} ([None]: the app has no such handler) *)
@@ -89,7 +94,6 @@ type t = {
   mutable vbase : int;
       (** virtual-time offset of the machine cycle counter, so trace
           records emitted mid-dispatch land on the virtual timeline *)
-  mutable dispatches : int;
   mutable current_app : int;
   os_code_sum : int;
       (** checksum of the OS code region taken right after boot; the
@@ -125,16 +129,19 @@ val run_for_ms : t -> int -> dispatch_record list
 
 val app_by_name : t -> string -> app_state
 
-val handler_profile : app_state -> string -> handler_stats option
+val handler_profiles :
+  dispatch_record list -> app:int -> (string * handler_stats) list
+(** The records of app index [app] that ran a handler ([No_handler]
+    skipped; faulted dispatches count), summed per handler name and
+    sorted by it.  A pure fold: pass whatever records the caller
+    collected from {!run_for_ms} / {!dispatch_next}. *)
 
-val handler_profiles : app_state -> (string * handler_stats) list
-(** All handlers with at least one dispatch, sorted by name. *)
-
-val state_profile : app_state -> ((int * string) * handler_stats) list
-(** ARP-view accounting: dispatch statistics keyed by (value of the
-    app's [state] global when the event arrived, handler name) —
-    the paper's "memory accesses and context switches per state and
-    transition".  Empty for apps without a [state] global. *)
+val state_profile :
+  dispatch_record list -> app:int -> ((int * string) * handler_stats) list
+(** ARP-view accounting, the same fold keyed by ([dr_state], handler
+    name) — the paper's "memory accesses and context switches per
+    state and transition".  Empty for apps without a [state]
+    global. *)
 
 val display_line : t -> int -> string
 val log_contents : t -> string

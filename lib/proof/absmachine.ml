@@ -450,15 +450,6 @@ type containment =
   | C_breach of breach
   | C_harmless
 
-let containment_name = function
-  | C_build -> "build"
-  | C_guard -> "guard"
-  | C_mpu -> "mpu"
-  | C_gate -> "gate"
-  | C_kernel -> "kernel"
-  | C_breach _ -> "breach"
-  | C_harmless -> "harmless"
-
 let run_scenario ~mode ~attacker actions =
   let rep = repertoire ~mode ~attacker in
   let rec go s trace = function

@@ -125,8 +125,6 @@ type containment =
   | C_breach of breach
   | C_harmless
 
-val containment_name : containment -> string
-
 val run_scenario :
   mode:Amulet_cc.Isolation.mode ->
   attacker:attacker ->

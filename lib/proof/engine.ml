@@ -86,11 +86,6 @@ let explore sys =
   | Some s -> (reachable, Some (trace_to s, s))
   | None -> (reachable, None)
 
-let bmc sys =
-  match explore sys with
-  | _, Some (trace, final) -> Some (trace, final)
-  | _, None -> None
-
 (* Step case of k-induction for property [q]: with
    F_0 = { s in universe | q s } and F_{i+1} = post(F_i) ∩ q,
    every successor of every state in F_{k-1} must satisfy [q].

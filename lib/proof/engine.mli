@@ -24,10 +24,6 @@ type ('s, 'a) verdict =
       (** shortest path from an initial state to a property violation *)
   | Unknown of { k_max : int; reason : string }
 
-val bmc : ('s, 'a) system -> (('s * 'a) list * 's) option
-(** Shortest counterexample by breadth-first reachability, or [None]
-    when the property holds on every reachable state. *)
-
 val k_induction :
   ?k_max:int -> ?aux:('s -> bool) -> ('s, 'a) system -> ('s, 'a) verdict
 (** Prove [prop] by k-induction, searching k = 1..[k_max] (default 8).

@@ -15,7 +15,6 @@ let lo t = t.lo
 let hi t = t.hi
 let mem a t = a >= t.lo && a < t.hi
 let subset a b = a.lo >= b.lo && a.hi <= b.hi
-let disjoint a b = a.hi <= b.lo || b.hi <= a.lo
 
 let inter a b =
   let lo = max a.lo b.lo and hi = min a.hi b.hi in

@@ -14,7 +14,6 @@ val lo : t -> int
 val hi : t -> int
 val mem : int -> t -> bool
 val subset : t -> t -> bool
-val disjoint : t -> t -> bool
 val inter : t -> t -> t option
 
 val below : int -> t -> bool

@@ -5,11 +5,6 @@ module Word = Amulet_mcu.Word
 
 type target = Regs | Fram of { lo : int; hi : int } | Mpu_config
 
-let target_name = function
-  | Regs -> "regs"
-  | Fram _ -> "fram"
-  | Mpu_config -> "mpu"
-
 (* splitmix64: one multiply-shift-xor chain per draw.  Deliberately
    not [Random]: the schedule must be identical across OCaml versions
    and across domains running cells in parallel. *)

@@ -20,8 +20,6 @@ type target =
   | Mpu_config  (** flip a bit in an MPU register cell, bypassing the
                     password (a physical upset, not a bus write) *)
 
-val target_name : target -> string
-
 type plan
 
 val plan : seed:int -> flips:int -> window:int * int -> target -> plan

@@ -78,6 +78,43 @@ let test_static_view () =
     "no checks in baseline" 0
     (List.fold_left (fun a s -> a + s.Arp.ss_checked) 0 sites0)
 
+(* ARP-view: a two-state app whose timer handler does markedly more
+   work in state 1.  No suite app declares [state], so this is the
+   only run of the per-state rows [amulet arp] prints. *)
+let twostate =
+  {
+    Apps.name = "twostate";
+    display_name = "TwoState";
+    source =
+      "int state = 0;\n\
+       int sink[16];\n\
+       void handle_init(int arg) { api_set_timer(100); }\n\
+       void handle_timer(int arg) {\n\
+      \  if (state == 0) { state = 1; }\n\
+      \  else {\n\
+      \    int i; for (i = 0; i < 16; i++) sink[i] = i;\n\
+      \    state = 0;\n\
+      \  }\n\
+       }\n";
+    source_feature_limited = None;
+  }
+
+let test_state_view () =
+  let p = Arp.profile_app ~warmup_ms:2_000 ~mode:Iso.Mpu_assisted twostate in
+  let timer st =
+    match List.assoc_opt (st, "handle_timer") p.Arp.ap_states with
+    | Some s -> s
+    | None -> Alcotest.failf "no ARP-view row for state %d" st
+  in
+  let avg (s : Amulet_os.Kernel.handler_stats) = s.hs_cycles / s.hs_count in
+  let s0 = timer 0 and s1 = timer 1 in
+  check_bool "both states dispatched" true (s0.hs_count >= 5 && s1.hs_count >= 5);
+  check_bool "state-1 timer costlier" true (avg s1 > avg s0);
+  Alcotest.(check (list (pair int string)))
+    "one row per (state, handler)"
+    [ (0, "handle_init"); (0, "handle_timer"); (1, "handle_timer") ]
+    (List.map fst p.Arp.ap_states)
+
 (* ------------------------------------------------------------------ *)
 (* Experiment shapes (small iteration counts to stay fast) *)
 
@@ -165,6 +202,7 @@ let () =
           quick "pedometer" test_profile_pedometer;
           quick "overhead ordering" test_overhead_ordering;
           quick "static view" test_static_view;
+          quick "per-state view" test_state_view;
         ] );
       ( "experiments",
         [

@@ -248,6 +248,50 @@ let test_latency_regression_detected () =
        (fun v -> v.Schema.v_metric = "latency p99" && v.Schema.v_regressed)
        vs)
 
+(* A baseline short of one mode, of latency and energy in the other, of
+   one context-switch row and of every gate-cert row: each gap is named
+   once, in walk order (mode rows, then context switch, then gate
+   certification), and the comparator gates what both sides carry. *)
+let test_missing_in_baseline () =
+  let current = sample_doc () in
+  let baseline =
+    {
+      current with
+      Schema.d_modes =
+        [
+          {
+            (mk_mode "no-isolation" [ 1.5e6; 1.52e6; 1.49e6 ]) with
+            Schema.m_latency = None;
+            m_energy_per_dispatch_j = None;
+          };
+        ];
+      d_gate = { Schema.g_ctx_switch = [ ("no-isolation", 36.3) ]; g_cert = [] };
+    }
+  in
+  Alcotest.(check (list string))
+    "self-compare misses nothing" []
+    (Schema.missing_in_baseline ~current ~baseline:current);
+  Alcotest.(check (list string))
+    "every gap named"
+    [
+      "latency p99 (no-isolation)";
+      "energy/dispatch (no-isolation)";
+      "mode mpu (absent from baseline)";
+      "ctx-switch cycles (mpu)";
+      "gate cert cycles (mpu)";
+    ]
+    (Schema.missing_in_baseline ~current ~baseline);
+  Alcotest.(check (list (pair string string)))
+    "what both sides carry is compared"
+    [
+      ("cycles/dispatch", "no-isolation");
+      ("cycles/sec", "no-isolation");
+      ("ctx-switch cycles", "no-isolation");
+    ]
+    (List.map
+       (fun v -> (v.Schema.v_metric, v.Schema.v_mode))
+       (compare_default ~current ~baseline))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -275,5 +319,7 @@ let () =
           Alcotest.test_case "rate noise gate" `Quick test_rate_noise_gate;
           Alcotest.test_case "latency regression" `Quick
             test_latency_regression_detected;
+          Alcotest.test_case "missing in baseline" `Quick
+            test_missing_in_baseline;
         ] );
     ]

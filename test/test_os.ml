@@ -212,9 +212,16 @@ let test_api_pointer_validation () =
 let test_handler_stats () =
   let fw = build_one counter_app "counter" in
   let k = Os.Kernel.create ~scenario:Os.Sensors.Walking fw in
-  let _ = Os.Kernel.run_for_ms k 1_000 in
-  let app = Os.Kernel.app_by_name k "counter" in
-  match Os.Kernel.handler_profile app "handle_accel" with
+  (* the counter app has no button handler: its records are No_handler
+     and stay out of the profile *)
+  Os.Kernel.post k ~delay_ms:200 ~app:0 (Os.Event.Button 1) ~arg:1;
+  let records = Os.Kernel.run_for_ms k 1_000 in
+  let profile = Os.Kernel.handler_profiles records ~app:0 in
+  Alcotest.(check (list string))
+    "handlers that ran"
+    [ "handle_accel"; "handle_init"; "handle_timer" ]
+    (List.map fst profile);
+  match List.assoc_opt "handle_accel" profile with
   | None -> Alcotest.fail "no stats for handle_accel"
   | Some s ->
     check_bool "counted" true (s.Os.Kernel.hs_count >= 5);
@@ -239,9 +246,8 @@ let twostate_app =
 let test_state_profile () =
   let fw = build_one twostate_app "twostate" in
   let k = Os.Kernel.create fw in
-  let _ = Os.Kernel.run_for_ms k 2_000 in
-  let app = Os.Kernel.app_by_name k "twostate" in
-  let profile = Os.Kernel.state_profile app in
+  let records = Os.Kernel.run_for_ms k 2_000 in
+  let profile = Os.Kernel.state_profile records ~app:0 in
   let stats_of st =
     match List.assoc_opt (st, "handle_timer") profile with
     | Some s -> s
@@ -255,9 +261,9 @@ let test_state_profile () =
     > s0.Os.Kernel.hs_cycles / s0.Os.Kernel.hs_count
       + 50)
 
-(* The per-app tables are the dispatch records folded per handler and
-   per (state at dispatch, handler), field for field. *)
-let test_profiles_fold_records () =
+(* Each handled record carries the app's [state] global as it stood
+   when the event was popped: the key of the ARP-view fold. *)
+let test_records_carry_state () =
   let fw =
     Aft.build ~mode:Iso.Mpu_assisted
       [
@@ -268,7 +274,7 @@ let test_profiles_fold_records () =
   let k = Os.Kernel.create ~scenario:Os.Sensors.Walking fw in
   let m = k.Os.Kernel.machine in
   (* drive the queue by hand, reading the app's [state] global right
-     before each dispatch, as the kernel does *)
+     before each pop *)
   let rec drive acc n =
     match Os.Event_queue.peek k.Os.Kernel.queue with
     | Some e when n > 0 -> (
@@ -282,62 +288,31 @@ let test_profiles_fold_records () =
       | None -> List.rev acc)
     | _ -> List.rev acc
   in
-  let records = drive [] 400 in
-  let add key (r : Os.Kernel.dispatch_record) tbl =
-    let s =
-      Option.value (List.assoc_opt key tbl)
-        ~default:
-          { Os.Kernel.hs_count = 0; hs_cycles = 0; hs_reads = 0; hs_writes = 0;
-            hs_api_calls = 0 }
-    in
-    ( key,
-      {
-        Os.Kernel.hs_count = s.Os.Kernel.hs_count + 1;
-        hs_cycles = s.Os.Kernel.hs_cycles + r.Os.Kernel.dr_cycles;
-        hs_reads = s.Os.Kernel.hs_reads + r.Os.Kernel.dr_reads;
-        hs_writes = s.Os.Kernel.hs_writes + r.Os.Kernel.dr_writes;
-        hs_api_calls = s.Os.Kernel.hs_api_calls + r.Os.Kernel.dr_api_calls;
-      } )
-    :: List.remove_assoc key tbl
+  let handled =
+    List.filter
+      (fun (_, (r : Os.Kernel.dispatch_record)) ->
+        r.Os.Kernel.dr_outcome <> Os.Kernel.No_handler)
+      (drive [] 400)
   in
-  Array.iteri
-    (fun i (app : Os.Kernel.app_state) ->
-      let mine =
-        List.filter
-          (fun (_, (r : Os.Kernel.dispatch_record)) ->
-            r.Os.Kernel.dr_app = i
-            && r.Os.Kernel.dr_outcome <> Os.Kernel.No_handler)
-          records
-      in
-      let handler (r : Os.Kernel.dispatch_record) =
-        Os.Event.handler_name r.Os.Kernel.dr_kind
-      in
-      let by_handler =
-        List.fold_left (fun tbl (_, r) -> add (handler r) r tbl) [] mine
-        |> List.sort compare
-      in
-      let by_state =
-        List.fold_left
-          (fun tbl (st, r) ->
-            match st with Some st -> add (st, handler r) r tbl | None -> tbl)
-          [] mine
-        |> List.sort compare
-      in
-      let name = app.Os.Kernel.build.Aft.ab_name in
-      check_bool (name ^ " dispatched") true (List.length mine >= 5);
-      check_bool (name ^ " handler profile")
-        true (Os.Kernel.handler_profiles app = by_handler);
-      check_bool (name ^ " state profile")
-        true (Os.Kernel.state_profile app = by_state);
-      List.iter
-        (fun (h, s) ->
-          check_bool (name ^ " " ^ h) true
-            (Os.Kernel.handler_profile app h = Some s))
-        by_handler)
-    k.Os.Kernel.apps;
-  check_bool "per-state split exercised" true
-    (List.length (Os.Kernel.state_profile (Os.Kernel.app_by_name k "twostate"))
-    >= 2)
+  check_bool "dispatched" true (List.length handled >= 10);
+  List.iter
+    (fun (st, (r : Os.Kernel.dispatch_record)) ->
+      check_bool
+        (Printf.sprintf "app %d %s state" r.Os.Kernel.dr_app
+           (Os.Event.kind_name r.Os.Kernel.dr_kind))
+        true (r.Os.Kernel.dr_state = st))
+    handled;
+  let twostate = (Os.Kernel.app_by_name k "twostate").Os.Kernel.build in
+  let seen =
+    List.filter_map
+      (fun (_, (r : Os.Kernel.dispatch_record)) ->
+        if r.Os.Kernel.dr_app = twostate.Aft.ab_layout.Layout.index then
+          r.Os.Kernel.dr_state
+        else None)
+      handled
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list int)) "both states seen" [ 0; 1 ] seen
 
 let test_event_queue_order () =
   let q = Os.Event_queue.create () in
@@ -401,8 +376,8 @@ let () =
           Alcotest.test_case "handler stats" `Quick test_handler_stats;
           Alcotest.test_case "per-state profile (ARP-view)" `Quick
             test_state_profile;
-          Alcotest.test_case "profiles fold the dispatch records" `Quick
-            test_profiles_fold_records;
+          Alcotest.test_case "dispatch records carry the state" `Quick
+            test_records_carry_state;
         ] );
       ( "isolation",
         [
