@@ -21,35 +21,23 @@ type t = {
   mutable insns : int;  (** total instructions retired *)
 }
 
-val create : bus -> t
-
 val step : t -> Opcode.t
 (** Execute one instruction; returns it (for tracing).  Raises
     whatever the bus raises on a faulting access, and
     {!Decode.Illegal} on an undecodable word. *)
 
-(** {2 Execution primitives}
+val compile : pc:int -> len:int -> Opcode.t -> t -> unit
+(** [compile ~pc ~len instr] is [instr], decoded at [pc] with encoded
+    size [len] bytes, compiled into a closure that executes it on a
+    CPU: operation, width, operand modes, immediates, extension-word
+    addresses and the jump target are resolved once, here.  Running
+    the closure advances PC past the instruction and performs it
+    through the bus exactly as {!step} would after fetch and decode —
+    same accesses, same order, same faults — but charges no cycles
+    and retires nothing; the caller does.  It allocates nothing.
 
-    The per-form executors behind {!step}, exposed so the machine's
-    predecoded-block engine can run instructions it has already
-    decoded without re-entering fetch/decode.  Both engines share this
-    exact code, so their semantics cannot drift.  Callers must have
-    advanced PC past the instruction first (as {!step} does) and pass
-    the extension-word addresses that fetch would have used. *)
-
-val exec_fmt1 :
-  t ->
-  Opcode.op2 ->
-  Word.width ->
-  Opcode.src ->
-  Opcode.dst ->
-  src_ext_addr:int ->
-  dst_ext_addr:int ->
-  unit
-
-val exec_fmt2 :
-  t -> Opcode.op1 -> Word.width -> Opcode.src -> src_ext_addr:int -> unit
-
-val exec_reti : t -> unit
-
-val cond_true : Registers.t -> Opcode.cond -> bool
+    {!step} stays the reference these closures are checked against:
+    the two share the {!Alu} but no operand or executor code, and the
+    differential tests (block engine against the stepper, on every
+    encodable instruction form and on compiled programs) guard their
+    agreement. *)

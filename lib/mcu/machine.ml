@@ -79,10 +79,8 @@ let regs t = t.cpu.Cpu.regs
    at step entry: a watcher armed mid-step (from an event callback)
    must observe whole instructions starting at the next boundary,
    never a suffix of the one in flight. *)
-let emit t e =
-  match if t.in_step then t.emit_hook else t.on_event with
-  | None -> ()
-  | Some f -> f e
+let watcher t = if t.in_step then t.emit_hook else t.on_event
+let emit t e = match watcher t with None -> () | Some f -> f e
 
 let add_watch t f =
   match t.on_event with
@@ -157,9 +155,13 @@ let bus_read t (kind : Cpu.access) width addr =
     let value = Memory.read t.mem width addr in
     (match kind with
     | Cpu.Afetch -> t.stats.Trace.fetch_words <- t.stats.Trace.fetch_words + 1
-    | Cpu.Aread ->
+    | Cpu.Aread -> (
       t.stats.Trace.data_reads <- t.stats.Trace.data_reads + 1;
-      emit t (Trace.Mem_read { addr; width; value; pc = pc_of t }));
+      (* the event is built only once a watcher is known to be armed:
+         the hooks-off path allocates nothing per access *)
+      match watcher t with
+      | None -> ()
+      | Some f -> f (Trace.Mem_read { addr; width; value; pc = pc_of t })));
     value
 
 let bus_write t width addr v =
@@ -173,23 +175,30 @@ let bus_write t width addr v =
     mpu_check t Mpu.Dwrite addr;
     Memory.write t.mem width addr v;
     t.stats.Trace.data_writes <- t.stats.Trace.data_writes + 1;
-    emit t (Trace.Mem_write { addr; width; value = Word.norm width v; pc = pc_of t })
+    match watcher t with
+    | None -> ()
+    | Some f ->
+      f (Trace.Mem_write { addr; width; value = Word.norm width v; pc = pc_of t })
 
+(* The bus closures capture the machine itself ([let rec]), so a data
+   access is one closure call into [bus_read]/[bus_write]. *)
 let create () =
-  let self = ref None in
-  let me () = match !self with Some t -> t | None -> assert false in
-  let bus =
-    {
-      Cpu.read = (fun k w a -> bus_read (me ()) k w a);
-      Cpu.write = (fun w a v -> bus_write (me ()) w a v);
-    }
-  in
-  let t =
+  let rec t =
     {
       mem = Memory.create ();
       mpu = Mpu.create ();
       timer = Timer.create ();
-      cpu = Cpu.create bus;
+      cpu =
+        {
+          Cpu.regs = Registers.create ();
+          bus =
+            {
+              Cpu.read = (fun k w a -> bus_read t k w a);
+              write = (fun w a v -> bus_write t w a v);
+            };
+          cycles = 0;
+          insns = 0;
+        };
       stats = Trace.create_stats ();
       console = Buffer.create 64;
       halted = false;
@@ -204,7 +213,6 @@ let create () =
       code_drained = 0;
     }
   in
-  self := Some t;
   t
 
 let load_words t ~addr words = Memory.blit_words t.mem ~addr words
@@ -255,15 +263,16 @@ let step t =
   result
 
 (* ------------------------------------------------------------------ *)
-(* Tier 2: predecoded basic-block execution.                          *)
+(* Tier 2: predecoded, compiled basic-block execution.                *)
 (*                                                                    *)
 (* [run] dispatches through a cache of predecoded blocks whenever no  *)
 (* hook is armed.  The moment any step hook or event watcher is       *)
 (* installed — profiler, fault injector, campaign oracle — it falls   *)
 (* back to [step], the reference per-instruction path, so armed runs  *)
-(* observe the exact semantics they always did.  Both paths execute   *)
-(* instructions through the same [Cpu] code and charge the same       *)
-(* [Cycles.cycles], so simulated state is byte-identical either way.  *)
+(* observe the exact semantics they always did.  Blocks run           *)
+(* instructions as closures compiled by [Cpu.compile]; they share the *)
+(* ALU, the bus and [Cycles.cycles] with [step], and the differential *)
+(* tests hold the two to byte-identical simulated state.              *)
 (* ------------------------------------------------------------------ *)
 
 let hooks_armed t =
@@ -290,32 +299,23 @@ let sync_code_cache t =
     List.iter (Hashtbl.remove t.blocks) stale
   end
 
+(* [Hashtbl.find] rather than [find_opt]: a hit, the steady state,
+   allocates nothing. *)
 let block_at t pc =
-  match Hashtbl.find_opt t.blocks pc with
-  | Some b -> b
-  | None ->
+  match Hashtbl.find t.blocks pc with
+  | b -> b
+  | exception Not_found ->
     let b = Predecode.build ~read_word:(Memory.read_word t.mem) ~pc in
     Memory.watch_code_span t.mem ~lo:b.Predecode.b_lo ~hi:b.Predecode.b_hi;
     Hashtbl.replace t.blocks pc b;
     b
 
-(* Mirror of [Cpu.step] minus fetch/decode: PC advances past the
-   instruction first, then the shared executors run, then cost is
-   charged — so a fault mid-execution leaves registers, statistics and
-   cycle counts exactly as the slow path would. *)
+(* One compiled closure advances PC and performs the instruction, then
+   cost is charged — so a fault mid-execution leaves registers,
+   statistics and cycle counts exactly as [Cpu.step] would. *)
 let exec_uop t (u : Predecode.uop) =
   let cpu = t.cpu in
-  Registers.set_pc cpu.Cpu.regs (u.Predecode.u_pc + u.Predecode.u_len);
-  (match u.Predecode.u_instr with
-  | Opcode.Fmt1 (op, width, src, dst) ->
-    Cpu.exec_fmt1 cpu op width src dst ~src_ext_addr:u.Predecode.u_src_ext
-      ~dst_ext_addr:u.Predecode.u_dst_ext
-  | Opcode.Fmt2 (op, width, src) ->
-    Cpu.exec_fmt2 cpu op width src ~src_ext_addr:u.Predecode.u_src_ext
-  | Opcode.Jump (c, _) ->
-    if Cpu.cond_true cpu.Cpu.regs c then
-      Registers.set_pc cpu.Cpu.regs u.Predecode.u_target
-  | Opcode.Reti -> Cpu.exec_reti cpu);
+  u.Predecode.u_exec cpu;
   cpu.Cpu.cycles <- cpu.Cpu.cycles + u.Predecode.u_cost;
   cpu.Cpu.insns <- cpu.Cpu.insns + 1
 

@@ -105,16 +105,17 @@ val run : ?fuel:int -> t -> stop_reason
 
     Two-tier engine.  While no step hook and no event watcher is
     installed, instructions execute from a cache of predecoded basic
-    blocks ({!Predecode}): decoded once, chained to the next control
-    transfer, with per-word MPU execute checks elided wherever
-    {!Mpu.exec_span_ok} allows the block's (remaining) span.  The
-    moment any hook is armed — profiler, fault injector, watchpoint —
-    dispatch falls back to {!step}, the reference per-instruction
-    path, at the next instruction boundary.  Both tiers run the same
-    {!Cpu} executors and charge the same {!Cycles.cycles}, so
-    registers, memory, statistics, cycle counts and faults are
-    identical instruction for instruction (asserted by the
-    differential lockstep tests and the bench identity runs).
+    blocks ({!Predecode}): decoded once and compiled into closures
+    ({!Cpu.compile}), chained to the next control transfer, with
+    per-word MPU execute checks elided wherever {!Mpu.exec_span_ok}
+    allows the block's (remaining) span.  The moment any hook is
+    armed — profiler, fault injector, watchpoint — dispatch falls back
+    to {!step}, the reference per-instruction path, at the next
+    instruction boundary.  Both tiers share the {!Alu}, the bus and
+    {!Cycles.cycles}, and registers, memory, statistics, cycle counts
+    and faults are identical instruction for instruction (asserted by
+    the differential lockstep tests, on every encodable instruction
+    form, and by the bench identity runs).
 
     The cache is invalidated by writes into predecoded code spans
     (tracked by {!Memory.code_gen}; self-modifying code re-decodes

@@ -1,10 +1,11 @@
 (* Predecoded micro-ops and basic blocks.
 
-   A micro-op is one instruction decoded once: operand forms resolved
-   by [Decode], extension-word addresses and cycle cost precomputed,
-   so executing it is a direct dispatch into [Cpu]'s executors with no
-   fetch, no decode and no allocation.  A block chains micro-ops from
-   an entry pc up to the next control transfer (or a cap).
+   A micro-op is one instruction decoded once and compiled by
+   [Cpu.compile] into a closure specialised to its operation and
+   operand modes, with its cycle cost precomputed: executing it is one
+   closure call, with no fetch, no decode, no operand interpretation
+   and no allocation.  A block chains micro-ops from an entry pc up to
+   the next control transfer (or a cap).
 
    The builder is pure over a raw word reader: it performs no MPU
    checks and touches no statistics — permission validation and
@@ -17,10 +18,7 @@ type uop = {
   u_len : int; (* bytes, 2..6 *)
   u_words : int; (* u_len / 2, the fetch-word count *)
   u_cost : int; (* Cycles.cycles, precomputed *)
-  u_instr : Opcode.t;
-  u_src_ext : int; (* pc+2: where fetch found the src extension word *)
-  u_dst_ext : int; (* pc+2(+2): likewise for the dst extension word *)
-  u_target : int; (* jump target (masked); 0 for non-jumps *)
+  u_exec : Cpu.t -> unit; (* Cpu.compile: PC advance + the instruction *)
 }
 
 type tail =
@@ -86,19 +84,7 @@ let build ~read_word ~pc:start =
             u_len = len;
             u_words = len / 2;
             u_cost = Cycles.cycles instr;
-            u_instr = instr;
-            u_src_ext = pc + 2;
-            u_dst_ext =
-              (pc + 2
-              +
-              match instr with
-              | Opcode.Fmt1 (_, width, src, _) ->
-                if Encode.src_needs_ext width src then 2 else 0
-              | _ -> 0);
-            u_target =
-              (match instr with
-              | Opcode.Jump (_, off) -> (pc + 2 + (2 * off)) land 0xFFFF
-              | _ -> 0);
+            u_exec = Cpu.compile ~pc ~len instr;
           }
         in
         rev_uops := u :: !rev_uops;

@@ -1,10 +1,11 @@
 (** Predecoded micro-ops and basic blocks for the fast interpreter.
 
-    Tier 1 of the two-tier engine (see {!Machine.run}): each
-    instruction is decoded once into a {!uop} with operand forms,
-    extension-word addresses, fetch-word count and cycle cost
-    precomputed; {!build} chains uops from an entry pc up to the next
-    control transfer into a {!block}.
+    Tier 2 of the two-tier engine (see {!Machine.run}): each
+    instruction is decoded once and compiled by {!Cpu.compile} into a
+    {!uop}, a closure specialised to its operation and operand modes,
+    with fetch-word count and cycle cost precomputed; {!build} chains
+    uops from an entry pc up to the next control transfer into a
+    {!block}.
 
     The builder reads raw memory words only — no MPU checks, no
     statistics, no bus traffic — so building a block is free of
@@ -19,10 +20,9 @@ type uop = {
   u_len : int;  (** encoded size in bytes (2, 4 or 6) *)
   u_words : int;  (** [u_len / 2]: fetch words the slow path counts *)
   u_cost : int;  (** {!Cycles.cycles}, precomputed *)
-  u_instr : Opcode.t;
-  u_src_ext : int;  (** address fetch used for the src extension word *)
-  u_dst_ext : int;  (** likewise for the dst extension word *)
-  u_target : int;  (** jump target (masked); 0 for non-jumps *)
+  u_exec : Cpu.t -> unit;
+      (** {!Cpu.compile}d: advances PC and performs the instruction;
+          charges no cycles *)
 }
 
 type tail =

@@ -4,7 +4,11 @@
     constant generator 1, R3 = constant generator 2, R4..R15 general
     purpose. *)
 
-type t
+type t = int array
+(** Indexed by register number; every entry stays within 16 bits.
+    Exposed so compiled micro-ops ({!Cpu.compile}) read and write it
+    without a call per access; all other code should go through the
+    accessors below, which keep entries normalised. *)
 
 val pc : int
 val sp : int

@@ -8,37 +8,43 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* Word arithmetic *)
 
+(* The ALU's two-operand arithmetic as functions of (a, b), returning
+   its packed result: a + b, a - b and decimal a + b, carry-in clear. *)
+let add w a b = Alu.fmt1 Opcode.ADD w 0 b a
+let sub w a b = Alu.fmt1 Opcode.SUB w 0 b a
+let dadd w a b = Alu.fmt1 Opcode.DADD w 0 b a
+
 let test_word_add () =
-  let r = Word.add Word.W16 0xFFFF 1 in
-  check_int "wrap value" 0 r.Word.value;
-  check_bool "carry out" true r.Word.carry;
-  check_bool "no overflow" false r.Word.overflow;
-  let r = Word.add Word.W16 0x7FFF 1 in
-  check_int "0x8000" 0x8000 r.Word.value;
-  check_bool "overflow" true r.Word.overflow;
-  check_bool "no carry" false r.Word.carry
+  let r = add Word.W16 0xFFFF 1 in
+  check_int "wrap value" 0 (Alu.value r);
+  check_bool "carry out" true (Alu.carry r);
+  check_bool "no overflow" false (Alu.overflow r);
+  let r = add Word.W16 0x7FFF 1 in
+  check_int "0x8000" 0x8000 (Alu.value r);
+  check_bool "overflow" true (Alu.overflow r);
+  check_bool "no carry" false (Alu.carry r)
 
 let test_word_sub () =
-  let r = Word.sub Word.W16 5 3 in
-  check_int "5-3" 2 r.Word.value;
-  check_bool "no borrow -> carry set" true r.Word.carry;
-  let r = Word.sub Word.W16 3 5 in
-  check_int "3-5" 0xFFFE r.Word.value;
-  check_bool "borrow -> carry clear" false r.Word.carry
+  let r = sub Word.W16 5 3 in
+  check_int "5-3" 2 (Alu.value r);
+  check_bool "no borrow -> carry set" true (Alu.carry r);
+  let r = sub Word.W16 3 5 in
+  check_int "3-5" 0xFFFE (Alu.value r);
+  check_bool "borrow -> carry clear" false (Alu.carry r)
 
 let test_word_byte () =
-  let r = Word.add Word.W8 0xFF 1 in
-  check_int "byte wrap" 0 r.Word.value;
-  check_bool "byte carry" true r.Word.carry;
+  let r = add Word.W8 0xFF 1 in
+  check_int "byte wrap" 0 (Alu.value r);
+  check_bool "byte carry" true (Alu.carry r);
   check_int "sign extend" 0xFF80 (Word.sign_extend_byte 0x80);
   check_int "swap" 0x3412 (Word.swap_bytes 0x1234)
 
 let test_word_dadd () =
-  let r = Word.dadd Word.W16 0x1299 0x0001 in
-  check_int "BCD 1299+1" 0x1300 r.Word.value;
-  let r = Word.dadd Word.W16 0x9999 0x0001 in
-  check_int "BCD wrap" 0x0000 r.Word.value;
-  check_bool "BCD carry" true r.Word.carry
+  let r = dadd Word.W16 0x1299 0x0001 in
+  check_int "BCD 1299+1" 0x1300 (Alu.value r);
+  let r = dadd Word.W16 0x9999 0x0001 in
+  check_int "BCD wrap" 0x0000 (Alu.value r);
+  check_bool "BCD carry" true (Alu.carry r)
 
 let test_word_signed () =
   check_int "to_signed" (-1) (Word.to_signed Word.W16 0xFFFF);
@@ -734,10 +740,10 @@ let alu_add_property =
   QCheck2.Test.make ~count:2000 ~name:"ALU add matches reference"
     QCheck2.Gen.(triple gen_width (int_range 0 0xFFFF) (int_range 0 0xFFFF))
     (fun (w, a, b) ->
-      let r = Word.add w a b in
+      let r = add w a b in
       let mask = Word.mask w in
       let reference = (a land mask) + (b land mask) in
-      r.Word.value = reference land mask && r.Word.carry = (reference > mask))
+      Alu.value r = reference land mask && Alu.carry r = (reference > mask))
 
 let alu_sub_borrow_property =
   QCheck2.Test.make ~count:2000 ~name:"ALU sub carry = not-borrow"
@@ -745,18 +751,18 @@ let alu_sub_borrow_property =
     (fun (w, a, b) ->
       let mask = Word.mask w in
       let a = a land mask and b = b land mask in
-      let r = Word.sub w a b in
-      r.Word.value = (a - b) land mask && r.Word.carry = (a >= b))
+      let r = sub w a b in
+      Alu.value r = (a - b) land mask && Alu.carry r = (a >= b))
 
 let alu_overflow_property =
   (* signed overflow iff the true sum leaves the signed range *)
   QCheck2.Test.make ~count:2000 ~name:"ALU add signed overflow"
     QCheck2.Gen.(pair (int_range 0 0xFFFF) (int_range 0 0xFFFF))
     (fun (a, b) ->
-      let r = Word.add Word.W16 a b in
+      let r = add Word.W16 a b in
       let sa = Word.to_signed Word.W16 a and sb = Word.to_signed Word.W16 b in
       let s = sa + sb in
-      r.Word.overflow = (s < -32768 || s > 32767))
+      Alu.overflow r = (s < -32768 || s > 32767))
 
 let dadd_property =
   (* on BCD-valid operands DADD is decimal addition *)
@@ -774,9 +780,9 @@ let dadd_property =
   QCheck2.Test.make ~count:1000 ~name:"DADD is decimal addition"
     QCheck2.Gen.(pair gen_bcd gen_bcd)
     (fun (da, db) ->
-      let r = Word.dadd Word.W16 (to_bcd da) (to_bcd db) in
-      r.Word.value = of_decimal (da + db)
-      && r.Word.carry = (da + db > 9999))
+      let r = dadd Word.W16 (to_bcd da) (to_bcd db) in
+      Alu.value r = of_decimal (da + db)
+      && Alu.carry r = (da + db > 9999))
 
 let decode_totality_property =
   (* any word either decodes or raises Illegal — never anything else *)
@@ -1107,6 +1113,84 @@ let test_reset_drops_code_cache () =
   | o -> Alcotest.failf "expected halt, got %a" Machine.pp_stop_reason o);
   check_int "second boot decodes the post-reset patch" 0x2222 (reg m 7)
 
+(* The block engine's steady state allocates nothing per instruction:
+   a warm, hooks-off loop over every two-operand op in both widths
+   with register and memory operands, the single-operand ops, a call
+   and return, and every jump condition.  Divided by the instructions
+   retired, the only allocation left is [Machine.run]'s own per-call
+   set-up (about a hundred words). *)
+let test_uops_allocate_nothing () =
+  let open Opcode in
+  let data = Memory_map.sram_start in
+  let reset_ptr = Fmt1 (MOV, Word.W16, S_immediate data, D_reg 4) in
+  let fmt1 =
+    List.concat_map
+      (fun w ->
+        List.concat_map
+          (fun op ->
+            [
+              Fmt1 (op, w, S_reg 5, D_reg 6);
+              Fmt1 (op, w, S_immediate 0x1234, D_indexed (4, 2));
+              Fmt1 (op, w, S_indirect 4, D_absolute (data + 4));
+              Fmt1 (op, w, S_indexed (4, 6), D_reg 8);
+              Fmt1 (op, w, S_indirect_inc 4, D_reg 7);
+              reset_ptr;
+            ])
+          [ MOV; ADD; ADDC; SUBC; SUB; CMP; DADD; BIT; BIC; BIS; XOR; AND ])
+      [ Word.W16; Word.W8 ]
+  in
+  let fmt2 sub =
+    [
+      Fmt2 (RRC, Word.W16, S_reg 5);
+      Fmt2 (RRC, Word.W8, S_indexed (4, 2));
+      Fmt2 (RRA, Word.W16, S_absolute (data + 4));
+      Fmt2 (RRA, Word.W8, S_reg 6);
+      Fmt2 (SWPB, Word.W16, S_reg 7);
+      Fmt2 (SXT, Word.W16, S_indirect 4);
+      Fmt2 (PUSH, Word.W16, S_reg 5);
+      Fmt2 (PUSH, Word.W8, S_immediate 0x77);
+      Fmt1 (MOV, Word.W16, S_indirect_inc 1, D_reg 9);
+      Fmt1 (MOV, Word.W16, S_indirect_inc 1, D_reg 10);
+      Fmt2 (CALL, Word.W16, S_immediate sub);
+    ]
+  in
+  let jumps = List.map (fun c -> Jump (c, 0)) [ JNE; JEQ; JNC; JC; JN; JGE; JL; JMP ] in
+  let prologue = [ Fmt1 (MOV, Word.W16, S_immediate 400, D_reg 15); reset_ptr ] in
+  let len insns =
+    List.fold_left (fun n i -> n + Encode.length_bytes i) 0 insns
+  in
+  let program sub =
+    let body = fmt1 @ fmt2 sub @ jumps @ [ Fmt1 (SUB, Word.W16, S_immediate 1, D_reg 15) ] in
+    let back = -(len body + 2) / 2 in
+    prologue @ body @ [ Jump (JNE, back); halt_insn ]
+  in
+  (* the subroutine, a bare RET, sits right after the halt; any
+     address without a constant-generator encoding sizes the CALL *)
+  let sub = code_base + len (program 0x4242) in
+  let ret = Fmt1 (MOV, Word.W16, S_indirect_inc 1, D_reg 0) in
+  let m = build_machine (program sub @ [ ret ]) in
+  let run () =
+    match Machine.run m with
+    | Machine.Halted -> ()
+    | o -> Alcotest.failf "expected halt, got %a" Machine.pp_stop_reason o
+  in
+  (* a first pass to the halt warms the block cache; the second starts
+     from the same entry pc, so every block it needs is cached *)
+  run ();
+  m.Machine.halted <- false;
+  Registers.set_pc (Machine.regs m) code_base;
+  let insns0 = m.Machine.cpu.Cpu.insns in
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  let insns = m.Machine.cpu.Cpu.insns - insns0 in
+  check_bool "the loop ran" true (insns > 50_000);
+  let per_insn = words /. float_of_int insns in
+  if per_insn > 0.05 then
+    Alcotest.failf "%d instructions allocated %g minor words (%.3f per \
+                    instruction)"
+      insns words per_insn
+
 let () =
   Alcotest.run "mcu"
     [
@@ -1206,5 +1290,7 @@ let () =
             test_smc_patch_cached_block_then_reenter;
           Alcotest.test_case "reset drops cache" `Quick
             test_reset_drops_code_cache;
+          Alcotest.test_case "uops allocate nothing" `Quick
+            test_uops_allocate_nothing;
         ] );
     ]
