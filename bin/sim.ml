@@ -57,7 +57,7 @@ let run mode scenario seconds trace trace_format profile expect_fault apps () =
       Format.printf "@.app %-16s %s@." st.Os.Kernel.build.Aft.ab_name
         (if st.Os.Kernel.enabled then "running" else "DISABLED");
       (match st.Os.Kernel.last_fault with
-      | Some f -> Format.printf "  last fault: %s@." f
+      | Some f -> Format.printf "  last fault: %a@." Os.Kernel.pp_fault f
       | None -> ());
       List.iter
         (fun (handler, (s : Os.Kernel.handler_stats)) ->

@@ -100,7 +100,7 @@ let outcome_of mode attack =
       let _ = Os.Kernel.run_for_ms k 100 in
       let app = Os.Kernel.app_by_name k "attacker" in
       match app.Os.Kernel.last_fault with
-      | Some f -> `Caught f
+      | Some f -> `Caught (Format.asprintf "%a" Os.Kernel.pp_fault f)
       | None -> `Undetected)
 
 let label = function

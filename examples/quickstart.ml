@@ -74,5 +74,5 @@ void handle_init(int arg) {
   Format.printf "@.stray app enabled after its first event: %b@."
     bad.Os.Kernel.enabled;
   match bad.Os.Kernel.last_fault with
-  | Some f -> Format.printf "caught: %s@." f
+  | Some f -> Format.printf "caught: %a@." Os.Kernel.pp_fault f
   | None -> Format.printf "(no fault?!)@."

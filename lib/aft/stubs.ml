@@ -117,8 +117,9 @@ let gate ~mode ~os_cfg ~svc name =
 let gates ~mode ~os_cfg =
   List.concat
     (List.mapi
-       (fun svc (name, _) -> gate ~mode ~os_cfg ~svc name)
-       Amulet_cc.Apis.signatures)
+       (fun svc (e : Amulet_cc.Apis.entry) ->
+         gate ~mode ~os_cfg ~svc e.Amulet_cc.Apis.name)
+       (Array.to_list Amulet_cc.Apis.table))
 
 let tramp_label name = "__tramp_" ^ name
 let exit_label name = "__exit_" ^ name

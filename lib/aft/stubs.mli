@@ -48,8 +48,8 @@ val startup : A.item list
 val osreturn : mode:Amulet_cc.Isolation.mode -> os_cfg:mpu_cfg -> A.item list
 
 val gates : mode:Amulet_cc.Isolation.mode -> os_cfg:mpu_cfg -> A.item list
-(** One gate per OS API entry point (service number = position in
-    {!Amulet_cc.Apis.signatures}). *)
+(** One gate per OS API entry point (service number = index in
+    {!Amulet_cc.Apis.table}). *)
 
 val trampoline :
   mode:Amulet_cc.Isolation.mode ->

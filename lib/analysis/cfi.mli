@@ -77,6 +77,17 @@ val reconstruct :
 (** @raise Invalid_argument when the image lacks the section-bound
     symbols or any function symbol for [prefix]. *)
 
+(** {1 Instruction classification}
+
+    The canonical RET ([MOV @SP+, PC]), the target of the canonical
+    BR-immediate ([MOV #k, PC]), any other PC write, and the target of
+    a relative jump at [addr] with [offset]. *)
+
+val is_ret : Amulet_mcu.Opcode.t -> bool
+val br_target : Amulet_mcu.Opcode.t -> int option
+val is_computed_pc_write : Amulet_mcu.Opcode.t -> bool
+val jump_target : int -> int -> int
+
 val call_target : t -> Amulet_mcu.Opcode.t -> callee option
 (** Classify a [CALL] instruction's target ([None] for non-calls). *)
 

@@ -1,9 +1,8 @@
 (* Gate-argument provenance.
 
-   The kernel's API dispatcher re-validates every pointer argument an
-   app passes through an OS gate ([Api.dispatch]'s [with_range]): the
-   whole range [addr, addr+len) must lie inside the app's writable
-   region.  This pass proves, per call site, that the pointer can only
+   The kernel's API dispatcher ([Api.dispatch]) re-validates every
+   pointer argument an app passes through an OS gate: the whole range
+   [addr, addr+len) must lie inside the app's writable region.  This pass proves, per call site, that the pointer can only
    ever point into the app's own D_i region — for any execution
    reaching the site — so the kernel may elide that dynamic check for
    the certified services of a certified image.
@@ -26,14 +25,15 @@
    uncertified (the dynamic check remains).
 
    The extent validated by the kernel is over-approximated from the
-   service and the abstract length argument, mirroring the kernel's
-   own clamps (e.g. [api_read_accel] validates at most 128 bytes). *)
+   abstract length argument through the service's pointer contract in
+   {!Amulet_cc.Apis.table} — the entry the kernel itself clamps and
+   validates by (e.g. [api_read_accel] validates at most 128 bytes). *)
 
 module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module W = Amulet_mcu.Word
 module Iso = Amulet_cc.Isolation
-module Ct = Amulet_cc.Ctype
+module Apis = Amulet_cc.Apis
 
 type value = Top | Iv of int * int | Fp of int * int
 
@@ -158,31 +158,19 @@ let fixpoint (f : Cfi.func) : (int, value array) Hashtbl.t =
 (* ------------------------------------------------------------------ *)
 (* Certification *)
 
-(* Upper bound on the byte extent the kernel validates for [svc],
-   given the abstract length argument in R13.  Mirrors the clamps in
-   [Api.dispatch]; 128 is the universal worst case. *)
-let extent svc regs =
-  let n13 =
-    match regs.(13) with Iv (_, h) when h <= 0x7FFF -> Some h | _ -> None
+(* Upper bound on the byte extent the kernel validates for the
+   pointer [p], given the abstract registers at the call: the
+   contract's extent at the length argument's upper bound when that
+   is a known non-negative interval (the clamp is monotone), its
+   worst case otherwise. *)
+let extent (p : Apis.pointer) regs =
+  let length =
+    match Apis.length_arg p with
+    | Some a -> (
+      match regs.(12 + a) with Iv (_, h) when h <= 0x7FFF -> Some h | _ -> None)
+    | None -> None
   in
-  match svc with
-  | "api_read_accel" | "api_read_ppg" -> (
-    match n13 with Some h -> 2 * max 1 (min 64 h) | None -> 128)
-  | "api_read_accel_xyz" -> 6
-  | "api_display_write" -> 1
-  | "api_log_append" | "api_send_ble" -> (
-    match n13 with Some h -> max 0 (min 128 h) | None -> 128)
-  | _ -> 128
-
-(* Indices of the pointer parameters of a service (position i is
-   passed in register 12+i). *)
-let ptr_params svc =
-  match List.assoc_opt svc Amulet_cc.Apis.signatures with
-  | Some (Ct.Func (_, args)) ->
-    List.mapi (fun i a -> (i, a)) args
-    |> List.filter (fun (_, a) -> match a with Ct.Ptr _ -> true | _ -> false)
-    |> List.map fst
-  | _ -> []
+  Apis.extent p length
 
 type bounds = {
   data_lo : int;
@@ -191,8 +179,9 @@ type bounds = {
   sep : bool;  (** separate-stack mode *)
 }
 
-let certify_arg bounds stack fname svc regs idx =
-  let ext = extent svc regs in
+let certify_arg bounds stack fname regs (p : Apis.pointer) =
+  let idx = p.Apis.ptr_arg in
+  let ext = extent p regs in
   match regs.(12 + idx) with
   | Top -> (false, Printf.sprintf "arg %d: provenance unknown" idx)
   | Iv (l, h) ->
@@ -257,20 +246,11 @@ let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) ~(image : I.t) =
               (fun (i : Cfi.insn) ->
                 (match Cfi.call_target cfg i.Cfi.i_op with
                 | Some (Cfi.C_gate svc) -> (
-                  match ptr_params svc with
-                  | [] -> () (* nothing for the kernel to validate *)
-                  | idxs ->
-                    let results =
-                      List.map
-                        (certify_arg bounds stack f.Cfi.f_name svc regs)
-                        idxs
-                    in
-                    let certified = List.for_all fst results in
-                    let reason =
-                      String.concat "; "
-                        (List.map snd
-                           (if certified then results
-                            else List.filter (fun (ok, _) -> not ok) results))
+                  match (Apis.of_name svc).Apis.pointer with
+                  | None -> () (* nothing for the kernel to validate *)
+                  | Some p ->
+                    let certified, reason =
+                      certify_arg bounds stack f.Cfi.f_name regs p
                     in
                     sites :=
                       {

@@ -1,6 +1,6 @@
 (** Gate-argument provenance: proves, per OS-gate call site, that a
     pointer argument can only point into the app's own D_i region, so
-    the kernel may elide its dynamic [with_range] validation for the
+    the kernel may elide its dynamic range validation for the
     certified services.
 
     Pointers with link-time-constant values (globals, string literals)

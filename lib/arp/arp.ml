@@ -53,7 +53,9 @@ let profile_app ?(scenario = Os.Sensors.Walking) ?(warmup_ms = 90_000) ~mode
   let st = Os.Kernel.app_by_name k app.Apps.name in
   (match st.Os.Kernel.last_fault with
   | Some f ->
-    failwith (Printf.sprintf "ARP: %s faulted during profiling: %s" app.Apps.name f)
+    failwith
+      (Format.asprintf "ARP: %s faulted during profiling: %a" app.Apps.name
+         Os.Kernel.pp_fault f)
   | None -> ());
   let index = st.Os.Kernel.build.Aft.ab_layout.Amulet_aft.Layout.index in
   let measured = Os.Kernel.handler_profiles records ~app:index in

@@ -1,50 +1,86 @@
-(** The AmuletOS system API, as seen by application code.
+(** The AmuletOS system API — the one service table.
 
     Applications call these as ordinary C functions (up to three
     scalar/pointer arguments); the compiler routes each call through
-    the AFT-generated context-switch gate ([__gate_<name>]).  The OS
-    model in [amulet_os] implements the matching services and
-    validates every application-supplied pointer against the calling
-    app's data bounds before touching memory — the paper's "carefully
-    handle application-provided pointers passed through API calls". *)
+    the AFT-generated gate [__gate_<name>], which writes the service's
+    number, its index in {!table}, to the host-call port.  Each entry
+    states the service's signature, charges and pointer contract once:
+    the kernel ([Amulet_os.Api]) looks the entry up by number and
+    clamps, validates and charges by it — the paper's "carefully
+    handle application-provided pointers passed through API calls" —
+    the gate certifier ([Amulet_analysis.Gate_taint]) proves call
+    sites against the same extents, and the WCET certifier
+    ([Amulet_analysis.Wcet]) bounds each call by the same charges. *)
+
+type service =
+  | Null | Get_time | Get_battery
+  | Read_accel | Read_accel_xyz | Read_heart_rate | Read_ppg
+  | Read_temperature | Read_light
+  | Display_write | Display_clear | Button_state | Led | Buzz
+  | Log_append | Send_ble
+  | Set_timer | Cancel_timer | Subscribe | Unsubscribe
+  | Rand
+  | Unknown  (** any number outside {!table} *)
+
+(** How many units one call transfers through its pointer. *)
+type count =
+  | Exactly of int
+  | Length of { arg : int; lo : int; hi : int }
+      (** argument [arg], read as a signed 16-bit value and clamped to
+          [\[lo, hi\]] *)
+  | Up_to_nul of int
+      (** a NUL-terminated string of at most this many chars; only its
+          first byte is validated, and the read also stops at the end
+          of the valid range holding it *)
+
+type pointer = {
+  ptr_arg : int;  (** argument [i] is passed in register [12 + i] *)
+  count : count;
+  unit_bytes : int;  (** bytes validated per unit *)
+  unit_charge : int;  (** cycles charged per unit transferred *)
+}
+
+type entry = {
+  service : service;
+  name : string;  (** C name, e.g. [api_read_accel] *)
+  signature : Ctype.t;
+  base_charge : int;  (** cycles charged to every dispatch *)
+  pointer : pointer option;  (** the app pointer the kernel validates *)
+}
+
+val table : entry array
+(** Indexed by service number. *)
+
+val unknown : entry
+(** What a number outside {!table} dispatches to: its base charge,
+    then result [0xFFFF]. *)
+
+val of_number : int -> entry
+val of_name : string -> entry
+(** Both give {!unknown} for a service not in {!table}. *)
 
 val signatures : (string * Ctype.t) list
-(** [(name, function type)] for every API entry point. *)
-
-val names : string list
-
-val exists : string -> bool
-
 val gate_label : string -> string
-(** Linker symbol of the gate stub for an API name. *)
 
-(** {1 Service cost model}
-
-    The single source of truth for service dispatch costs: the kernel
-    ([Amulet_os.Api]) charges exactly these cycles at run time, and
-    the static WCET certifier ([Amulet_analysis.Wcet]) sums the same
-    constants for its per-call upper bound, so the two cannot drift
-    apart. *)
-
-val base_charge : string -> int
-(** Fixed cycles charged to every dispatch of a service. *)
-
-val per_word_charge : int
-(** Cycles per 16-bit word the kernel copies into app memory. *)
+val is_api_call : string -> bool
+(** Does a call to this name go through a gate (arguments in R12-R14,
+    loaded left to right) rather than the stack convention? *)
 
 val validate_charge : int
 (** Cycles for validating one app-supplied pointer range; skipped for
-    statically certified call sites. *)
+    statically certified services. *)
 
-val range_services : string list
-(** Services that take an app pointer and therefore pay
-    {!validate_charge} when uncertified. *)
+val length_arg : pointer -> int option
 
-val max_variable_charge : string -> int
-(** Upper bound of the data-dependent charge (the kernel clamps all
-    app-supplied lengths, so this is finite for every service). *)
+val units : pointer -> int option -> int
+(** Units a call transfers given its signed length argument; [None]
+    (unknown) gives the clamp's maximum.  Monotone in the length. *)
 
-val worst_case_charge : certified:bool -> string -> int
-(** [base + validate (if applicable and uncertified) + max variable] —
-    an upper bound on what any single dispatch of the service can
-    charge. *)
+val extent : pointer -> int option -> int
+(** Bytes from the pointer the kernel validates, the length as for
+    {!units}. *)
+
+val worst_case_charge : certified:bool -> entry -> int
+(** Base charge, plus {!validate_charge} for an uncertified pointer
+    service, plus the maximum units times the unit charge: an upper
+    bound on what one dispatch of the service can charge. *)

@@ -5,7 +5,6 @@ type compiled = {
   data : Amulet_link.Asm.item list;
   infos : Codegen.fn_info list;
   handlers : string list;
-  api_gates : string list;
   stack_bytes : int;
   recursive : bool;
   loops : (string * int) list;
@@ -49,10 +48,6 @@ let compile ~prefix ~mode ?(shadow = false) ?analyze ?loop_bounds
       (Stack_depth.worst_case out.Codegen.infos ~roots
          ~default:default_stack_bytes)
   in
-  let api_gates =
-    List.sort_uniq compare
-      (List.concat_map (fun fi -> fi.Codegen.fi_api_calls) out.Codegen.infos)
-  in
   {
     prefix;
     mode;
@@ -60,7 +55,6 @@ let compile ~prefix ~mode ?(shadow = false) ?analyze ?loop_bounds
     data = out.Codegen.data;
     infos = out.Codegen.infos;
     handlers = out.Codegen.handlers;
-    api_gates;
     stack_bytes;
     recursive;
     loops = out.Codegen.loops;

@@ -8,7 +8,6 @@ type compiled = {
   data : Amulet_link.Asm.item list;
   infos : Codegen.fn_info list;
   handlers : string list;  (** [handle_*] event entry points *)
-  api_gates : string list;  (** distinct API gates referenced *)
   stack_bytes : int;  (** worst-case stack for any handler *)
   recursive : bool;  (** stack bound came from the recursion default *)
   loops : (string * int) list;

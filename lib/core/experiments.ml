@@ -19,7 +19,8 @@ let measure_in_kernel k ~app_index ~arg ~runs =
         total := !total + r.Os.Kernel.dr_cycles;
         incr count
       | Os.Kernel.No_handler -> failwith "benchmark app has no handle_button"
-      | Os.Kernel.App_fault m -> failwith ("benchmark faulted: " ^ m))
+      | Os.Kernel.App_fault f ->
+        failwith (Format.asprintf "benchmark faulted: %a" Os.Kernel.pp_fault f))
     | None -> failwith "no event to dispatch"
   done;
   float_of_int !total /. float_of_int (max 1 !count)

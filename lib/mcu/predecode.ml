@@ -21,20 +21,10 @@ type uop = {
   u_exec : Cpu.t -> unit; (* Cpu.compile: PC advance + the instruction *)
 }
 
-type tail =
-  | T_fallthrough of int
-      (** the cap stopped the block; execution continues at this pc *)
-  | T_control  (** ended on an instruction that (may) rewrite PC *)
-  | T_unhandled of int
-      (** the next pc is not predecodable (MMIO fetch, illegal word,
-          address-space wrap mid-instruction); single-step it *)
-
 type block = {
-  b_pc : int;
   b_uops : uop array;
   b_lo : int; (* decoded byte span [b_lo, b_hi): the invalidation key *)
   b_hi : int;
-  b_tail : tail;
 }
 
 let max_uops = 64
@@ -71,12 +61,15 @@ let build ~read_word ~pc:start =
   in
   let rev_uops = ref [] in
   let count = ref 0 in
+  (* The block ends at the cap, at an instruction that may rewrite PC,
+     before bytes that are not predecodable (MMIO fetch, illegal word,
+     wrap mid-instruction: the machine single-steps those), or where
+     the fall-through wraps the address space (the next entry pc is
+     re-dispatched; it lands in MMIO space anyway). *)
   let rec go pc =
-    if !count >= max_uops then T_fallthrough (pc land 0xFFFF)
-    else
+    if !count < max_uops then
       match Decode.decode ~fetch ~addr:pc with
-      | exception (Unfetchable | Decode.Illegal _) ->
-        T_unhandled (pc land 0xFFFF)
+      | exception (Unfetchable | Decode.Illegal _) -> ()
       | instr, len ->
         let u =
           {
@@ -89,14 +82,10 @@ let build ~read_word ~pc:start =
         in
         rev_uops := u :: !rev_uops;
         incr count;
-        if ends_block instr then T_control
-        else if pc + len >= Memory_map.address_space then
-          (* Fall-through wraps the address space; the next entry pc is
-             re-dispatched (it lands in MMIO space anyway). *)
-          T_fallthrough ((pc + len) land 0xFFFF)
-        else go (pc + len)
+        if not (ends_block instr || pc + len >= Memory_map.address_space)
+        then go (pc + len)
   in
-  let tail = go start in
+  go start;
   let uops = Array.of_list (List.rev !rev_uops) in
   let hi =
     if Array.length uops = 0 then start + 2
@@ -106,4 +95,4 @@ let build ~read_word ~pc:start =
   in
   (* Even an empty block spans its first word, so a write that makes
      the bytes decodable flushes the cached "unhandled" verdict. *)
-  { b_pc = start; b_uops = uops; b_lo = start; b_hi = hi; b_tail = tail }
+  { b_uops = uops; b_lo = start; b_hi = hi }

@@ -25,29 +25,19 @@ type uop = {
           charges no cycles *)
 }
 
-type tail =
-  | T_fallthrough of int
-      (** [max_uops] stopped the block; execution continues at this pc *)
-  | T_control  (** ended on an instruction that may rewrite PC *)
-  | T_unhandled of int
-      (** the next pc is not predecodable (MMIO fetch, illegal word,
-          wrap mid-instruction); the machine single-steps it *)
-
 type block = {
-  b_pc : int;  (** entry pc (the cache key) *)
   b_uops : uop array;
+      (** capped in length, and ending at the first instruction that
+          may rewrite PC *)
   b_lo : int;
   b_hi : int;
       (** decoded byte span [\[b_lo, b_hi)]; a write overlapping it
           invalidates the block.  Empty blocks still span their first
           word so a write can flush a cached "unhandled" verdict. *)
-  b_tail : tail;
 }
-
-val max_uops : int
-(** Upper bound on instructions per block. *)
 
 val build : read_word:(int -> int) -> pc:int -> block
 (** [build ~read_word ~pc] decodes a basic block starting at [pc] from
-    raw memory words.  Never raises: undecodable or unfetchable bytes
-    end the block with {!T_unhandled} (possibly with zero uops). *)
+    raw memory words, entered at [b_lo = pc].  Never raises:
+    undecodable or unfetchable bytes end the block (possibly with zero
+    uops, which the machine single-steps). *)

@@ -5,9 +5,8 @@
     R12-R14, validates any application-supplied pointer against the
     calling app's writable range, performs the service against the
     synthetic sensor models, writes the result to R12, and charges the
-    service's modeled cycle cost (documented per service in the
-    implementation; gate/context-switch cycles are {e executed}, not
-    charged).
+    service's modeled cycle cost from {!Amulet_cc.Apis.table}
+    (gate/context-switch cycles are {e executed}, not charged).
 
     Side effects that concern the scheduler (timers, subscriptions)
     are returned as {!effect}s for the kernel to apply. *)
@@ -33,25 +32,22 @@ type t = {
 
 val create : Sensors.t -> t
 
-val service_count : int
-val service_name : int -> string option
-
-val validate_charge : int
-(** Cycles charged for dynamically validating one app-supplied pointer
-    range; elided for statically certified services. *)
-
 val dispatch :
   t ->
-  ?certified:(string -> bool) ->
   Amulet_mcu.Machine.t ->
+  certified:bool array ->
   valid:(int * int) list ->
   now_ms:int ->
   svc:int ->
   effect list
-(** [valid] lists the half-open address ranges the calling app may
-    legitimately hand to the OS (its data segment, plus the shared
-    SRAM stack in the shared-stack modes).  [certified] (default:
-    nothing) says which services the static certifier proved safe to
-    serve without the dynamic range validation
-    ({!Amulet_analysis.Gate_taint} via the image's [cert.gates.*]
-    notes). *)
+(** Serves service number [svc] as its {!Amulet_cc.Apis.table} entry
+    says: base charge, then — for a pointer service — the clamped
+    length, the validated extent and the per-unit charge; a number
+    outside the table charges {!Amulet_cc.Apis.unknown}'s base cost
+    and returns [0xFFFF].  [valid] lists the half-open address ranges
+    the calling app may legitimately hand to the OS (its data segment,
+    plus the shared SRAM stack in the shared-stack modes).
+    [certified], indexed by service number, says which services the
+    static certifier proved safe to serve without the dynamic range
+    validation ({!Amulet_analysis.Gate_taint} via the image's
+    [cert.gates.*] notes). *)

@@ -9,7 +9,19 @@ module Profile = Amulet_obs.Profile
 
 type fault_policy = Disable | Restart of int
 
-type outcome = Ok | No_handler | App_fault of string
+type fault =
+  | Stopped of M.stop_reason
+  | Pointer_rejected of { service : string; addr : int; len : int }
+
+let pp_fault ppf = function
+  | Stopped (M.Sw_fault code) -> Format.fprintf ppf "software check fault %d" code
+  | Stopped (M.Faulted f) -> M.pp_fault ppf f
+  | Stopped M.Out_of_fuel -> Format.fprintf ppf "runaway handler"
+  | Stopped M.Halted -> M.pp_stop_reason ppf M.Halted
+  | Pointer_rejected { service; addr; len } ->
+    Format.fprintf ppf "pointer %04X+%d rejected by %s" addr len service
+
+type outcome = Ok | No_handler | App_fault of fault
 
 type dispatch_record = {
   dr_app : int;
@@ -36,13 +48,15 @@ type app_state = {
   mutable enabled : bool;
   mutable fault_count : int;
   mutable restarts : int;
-  mutable last_fault : string option;
+  mutable last_fault : fault option;
   mutable last_forensics : string option;
   mutable subscriptions : (Event.sensor * int) list;
   mutable timers : (int * int) list;
-  certified_gates : string list;
-      (* services whose gate-pointer validation the static certifier
-         proved redundant (the image's [cert.gates.<app>] note) *)
+  valid_ranges : (int * int) list;
+  certified_gates : bool array;
+      (* per service number: gate-pointer validation the static
+         certifier proved redundant (the image's [cert.gates.<app>]
+         note) *)
   state_addr : int option;
       (* address of the app's "state" global, when it declares one *)
   handlers : int option array; (* entry address per Event.handler_index *)
@@ -104,38 +118,36 @@ let post t ~delay_ms ~app kind ~arg =
    separate-stack modes an app may only hand out addresses inside its
    own data segment; in the shared-stack modes its locals live on the
    SRAM stack, so that region is acceptable too. *)
-let valid_ranges t (app : app_state) =
-  let lay = app.build.Aft.ab_layout in
+let valid_ranges mode (build : Aft.app_build) =
+  let lay = build.Aft.ab_layout in
   let data = (lay.Amulet_aft.Layout.data_base, lay.Amulet_aft.Layout.data_limit) in
-  if Iso.separate_stacks t.fw.Aft.fw_mode then [ data ]
+  if Iso.separate_stacks mode then [ data ]
   else (* shared stack: the app's locals live in SRAM *)
     [ (Map.sram_start, Map.sram_limit); data ]
 
-let apply_effects t app effects =
-  List.iter
-    (fun e ->
-      match e with
-      | Api.Set_timer { id; period_ms } ->
-        app.timers <- (id, period_ms) :: app.timers;
-        post t ~delay_ms:period_ms ~app:app.build.Aft.ab_layout.Amulet_aft.Layout.index
-          (Event.Timer_fired id) ~arg:id
-      | Api.Cancel_timer id ->
-        app.timers <- List.remove_assoc id app.timers
-      | Api.Subscribe { sensor; rate_hz } ->
-        if not (List.mem_assoc sensor app.subscriptions) then begin
-          app.subscriptions <- (sensor, rate_hz) :: app.subscriptions;
-          post t ~delay_ms:(1000 / rate_hz)
-            ~app:app.build.Aft.ab_layout.Amulet_aft.Layout.index
-            (Event.Sensor_sample sensor)
-            ~arg:(Event.sensor_to_int sensor)
-        end
-      | Api.Unsubscribe sensor ->
-        app.subscriptions <- List.remove_assoc sensor app.subscriptions
-      | Api.Pointer_fault { service; addr; len } ->
-        app.last_fault <-
-          Some
-            (Printf.sprintf "pointer %04X+%d rejected by %s" addr len service))
-    effects
+let rec apply_effects t app = function
+  | [] -> ()
+  | e :: rest ->
+    (match e with
+    | Api.Set_timer { id; period_ms } ->
+      app.timers <- (id, period_ms) :: app.timers;
+      post t ~delay_ms:period_ms ~app:app.build.Aft.ab_layout.Amulet_aft.Layout.index
+        (Event.Timer_fired id) ~arg:id
+    | Api.Cancel_timer id ->
+      app.timers <- List.remove_assoc id app.timers
+    | Api.Subscribe { sensor; rate_hz } ->
+      if not (List.mem_assoc sensor app.subscriptions) then begin
+        app.subscriptions <- (sensor, rate_hz) :: app.subscriptions;
+        post t ~delay_ms:(1000 / rate_hz)
+          ~app:app.build.Aft.ab_layout.Amulet_aft.Layout.index
+          (Event.Sensor_sample sensor)
+          ~arg:(Event.sensor_to_int sensor)
+      end
+    | Api.Unsubscribe sensor ->
+      app.subscriptions <- List.remove_assoc sensor app.subscriptions
+    | Api.Pointer_fault { service; addr; len } ->
+      app.last_fault <- Some (Pointer_rejected { service; addr; len }));
+    apply_effects t app rest
 
 let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
   let machine = M.create () in
@@ -166,9 +178,15 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
              last_forensics = None;
              subscriptions = [];
              timers = [];
+             valid_ranges = valid_ranges fw.Aft.fw_mode build;
              certified_gates =
-               Amulet_analysis.Gate_taint.stamped fw.Aft.fw_image
-                 ~prefix:build.Aft.ab_name;
+               (let stamped =
+                  Amulet_analysis.Gate_taint.stamped fw.Aft.fw_image
+                    ~prefix:build.Aft.ab_name
+                in
+                Array.map
+                  (fun e -> List.mem e.Amulet_cc.Apis.name stamped)
+                  Amulet_cc.Apis.table);
              state_addr =
                (if Amulet_link.Image.has_symbol fw.Aft.fw_image state_sym then
                   Some (Amulet_link.Image.symbol fw.Aft.fw_image state_sym)
@@ -201,17 +219,15 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
         (match t.obs with
         | Some obs ->
           let name =
-            Option.value ~default:(Printf.sprintf "svc%d" svc)
-              (Api.service_name svc)
+            match Amulet_cc.Apis.of_number svc with
+            | { Amulet_cc.Apis.service = Unknown; _ } -> Printf.sprintf "svc%d" svc
+            | e -> e.Amulet_cc.Apis.name
           in
           Obs.instant obs ~cat:"api" ~tid:t.current_app ~name ~ts:(vnow t) ()
         | None -> ());
-        let effects =
-          Api.dispatch t.api m
-            ~certified:(fun name -> List.mem name app.certified_gates)
-            ~valid:(valid_ranges t app) ~now_ms:(now_ms t) ~svc
-        in
-        apply_effects t app effects
+        apply_effects t app
+          (Api.dispatch t.api m ~certified:app.certified_gates
+             ~valid:app.valid_ranges ~now_ms:(now_ms t) ~svc)
       end);
   (* every app starts with an init event *)
   Array.iteri
@@ -219,9 +235,9 @@ let create ?(policy = Disable) ?(scenario = Sensors.Daily_mix) ?seed ?obs fw =
     apps;
   t
 
-let handle_fault t (app : app_state) msg =
+let handle_fault t (app : app_state) fault =
   app.fault_count <- app.fault_count + 1;
-  app.last_fault <- Some msg;
+  app.last_fault <- Some fault;
   (* An MPU violation raises a PUC on real silicon, which clears the
      MPU configuration; the next dispatch reprograms it. *)
   Amulet_mcu.Mpu.reset t.machine.M.mpu;
@@ -279,16 +295,9 @@ let dispatch_event t (e : Event.t) =
       let stop = M.run ~fuel:handler_fuel m in
       with_profile t Profile.clear_context;
       t.current_app <- -1;
-      let outcome =
-        match stop with
-        | M.Halted -> Ok
-        | M.Sw_fault code ->
-          App_fault (Printf.sprintf "software check fault %d" code)
-        | M.Faulted f -> App_fault (Format.asprintf "%a" M.pp_fault f)
-        | M.Out_of_fuel -> App_fault "runaway handler"
-      in
+      let outcome = match stop with M.Halted -> Ok | _ -> App_fault (Stopped stop) in
       (match outcome with
-      | App_fault msg ->
+      | App_fault fault ->
         (* forensics first: [handle_fault] resets the MPU, destroying
            the very configuration the dump must show *)
         (match t.obs with
@@ -300,10 +309,13 @@ let dispatch_event t (e : Event.t) =
           Obs.instant obs ~cat:"kernel" ~tid:e.Event.app ~name:"fault"
             ~ts:(vnow t)
             ~args:
-              [ ("message", Obs.Vstr msg); ("forensics", Obs.Vstr forensics) ]
+              [
+                ("message", Obs.Vstr (Format.asprintf "%a" pp_fault fault));
+                ("forensics", Obs.Vstr forensics);
+              ]
             ()
         | None -> ());
-        handle_fault t app msg
+        handle_fault t app fault
       | Ok | No_handler -> ());
       let record =
         {
@@ -324,7 +336,7 @@ let dispatch_event t (e : Event.t) =
           match outcome with
           | Ok -> "ok"
           | No_handler -> "no_handler"
-          | App_fault msg -> "fault: " ^ msg
+          | App_fault f -> Format.asprintf "fault: %a" pp_fault f
         in
         let args =
           [
@@ -481,5 +493,9 @@ let unrecovered_faults t =
   Array.to_list t.apps
   |> List.filter_map (fun a ->
          if (not a.enabled) && a.fault_count > 0 then
-           Some (a.build.Aft.ab_name, Option.value ~default:"" a.last_fault)
+           Some
+             ( a.build.Aft.ab_name,
+               match a.last_fault with
+               | Some f -> Format.asprintf "%a" pp_fault f
+               | None -> "" )
          else None)

@@ -21,10 +21,17 @@ type fault_policy =
   | Disable  (** a faulting app is switched off (default) *)
   | Restart of int  (** re-deliver [handle_init] up to N times *)
 
-type outcome =
-  | Ok
-  | No_handler
-  | App_fault of string  (** MPU violation / check fault / runaway *)
+type fault =
+  | Stopped of Amulet_mcu.Machine.stop_reason
+      (** MPU violation / check fault / runaway *)
+  | Pointer_rejected of { service : string; addr : int; len : int }
+      (** a service refused an app pointer; only recorded in
+          {!app_state.last_fault}, the dispatch completes *)
+
+val pp_fault : Format.formatter -> fault -> unit
+(** The one fault text, shared by reports, traces and the campaign. *)
+
+type outcome = Ok | No_handler | App_fault of fault
 
 (** Measured cost of one handler dispatch — the kernel's only dispatch
     accounting. *)
@@ -63,17 +70,17 @@ type app_state = {
   mutable enabled : bool;
   mutable fault_count : int;
   mutable restarts : int;
-  mutable last_fault : string option;
+  mutable last_fault : fault option;
   mutable last_forensics : string option;
       (** full {!Amulet_obs.Forensics} dump of the app's most recent
           fault (only when an observability context is attached) *)
   mutable subscriptions : (Event.sensor * int) list;  (** sensor, rate Hz *)
   mutable timers : (int * int) list;  (** id, period ms *)
-  certified_gates : string list;
-      (** services whose gate-pointer validation the static certifier
-          proved redundant for this app (from the image's
-          [cert.gates.<app>] note); {!Api.dispatch} skips the dynamic
-          range walk for them *)
+  valid_ranges : (int * int) list;  (** what the app may hand to a service *)
+  certified_gates : bool array;
+      (** per service number: the static certifier proved the
+          gate-pointer validation redundant for this app (the image's
+          [cert.gates.<app>] note), so {!Api.dispatch} skips it *)
   state_addr : int option;
       (** address of the app's [state] global, when it declares one —
           read into each record's [dr_state] *)
@@ -161,5 +168,5 @@ val liveness_probe : ?max_dispatches:int -> t -> app:int -> bool
 
 val unrecovered_faults : t -> (string * string) list
 (** Apps left disabled by a fault under the [Disable] policy (or after
-    exhausting [Restart]): [(app name, last fault message)].  Drives
-    {b amulet sim}'s failure exit code. *)
+    exhausting [Restart]): [(app name, last fault as {!pp_fault}
+    prints it)].  Drives {b amulet sim}'s failure exit code. *)

@@ -172,15 +172,6 @@ let app_index fw name =
   in
   go 0 fw.Aft.fw_apps
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let matches expected observed =
   match (expected, observed) with
   | Attacks.L_build, O_build_rejected -> true
@@ -313,35 +304,26 @@ let run_cell ~attack ~mode ~seed =
           (0, 0) records
       end
     in
-    let gate_rejected =
-      match k.Kernel.apps.(ai).Kernel.last_fault with
-      | Some msg -> contains ~sub:"rejected by" msg
-      | None -> false
-    in
+    let message f = Format.asprintf "%a" Kernel.pp_fault f in
     let observed, note =
       match attack_record with
       | None -> (O_silent, "attack handler never dispatched")
       | Some r ->
         if breach then (O_breach, "")
         else (
-          match r.Kernel.dr_outcome with
-          | Kernel.App_fault msg
-            when starts_with ~prefix:"software check fault " msg -> (
-            match
-              int_of_string_opt
-                (String.sub msg 21 (String.length msg - 21))
-            with
-            | Some c -> (O_guard c, "")
-            | None -> (O_guard (-1), msg))
-          | Kernel.App_fault msg when contains ~sub:"MPU" msg ->
-            (O_hw_fault, msg)
-          | Kernel.App_fault msg -> (O_kernel, msg)
-          | Kernel.Ok | Kernel.No_handler ->
-            if gate_rejected then
-              ( O_gate_rejected,
-                Option.value ~default:"" k.Kernel.apps.(ai).Kernel.last_fault
-              )
-            else if target_hit then (O_leak, "write landed in permitted memory")
+          match (r.Kernel.dr_outcome, k.Kernel.apps.(ai).Kernel.last_fault) with
+          | Kernel.App_fault (Kernel.Stopped (M.Sw_fault c)), _ -> (O_guard c, "")
+          | ( Kernel.App_fault
+                (Kernel.Stopped
+                   (M.Faulted (M.Mpu_violation _ | M.Mpu_bad_password _)) as f),
+              _ ) ->
+            (O_hw_fault, message f)
+          | Kernel.App_fault f, _ -> (O_kernel, message f)
+          | (Kernel.Ok | Kernel.No_handler), Some (Kernel.Pointer_rejected _ as f)
+            ->
+            (O_gate_rejected, message f)
+          | (Kernel.Ok | Kernel.No_handler), _ ->
+            if target_hit then (O_leak, "write landed in permitted memory")
             else (O_silent, ""))
     in
     finish ~lint ~wcet ~dispatch ~observed ~breaches:oracle.breaches

@@ -27,7 +27,7 @@ let global k app sym =
 let assert_no_faults k name =
   let app = Os.Kernel.app_by_name k name in
   (match app.Os.Kernel.last_fault with
-  | Some f -> Alcotest.failf "%s faulted: %s" name f
+  | Some f -> Alcotest.failf "%s faulted: %a" name Os.Kernel.pp_fault f
   | None -> ());
   check_bool (name ^ " enabled") true app.Os.Kernel.enabled
 

@@ -24,7 +24,7 @@ let global k app sym =
 let assert_alive k name =
   let st = Os.Kernel.app_by_name k name in
   match st.Os.Kernel.last_fault with
-  | Some f -> Alcotest.failf "%s faulted: %s" name f
+  | Some f -> Alcotest.failf "%s faulted: %a" name Os.Kernel.pp_fault f
   | None -> check_bool "enabled" true st.Os.Kernel.enabled
 
 let test_all_modes () =

@@ -45,7 +45,7 @@ let test_boot_and_init () =
       match r.Os.Kernel.dr_outcome with
       | Os.Kernel.Ok -> ()
       | Os.Kernel.No_handler -> ()
-      | Os.Kernel.App_fault m -> Alcotest.failf "fault: %s" m)
+      | Os.Kernel.App_fault f -> Alcotest.failf "fault: %a" Os.Kernel.pp_fault f)
     records
 
 let test_subscription_rate () =

@@ -28,7 +28,7 @@ let run_body ?(mode = Iso.Mpu_assisted) ?(scenario = Os.Sensors.Walking)
   let _ = Os.Kernel.run_for_ms k 50 in
   let st = Os.Kernel.app_by_name k "svc" in
   (match st.Os.Kernel.last_fault with
-  | Some f -> Alcotest.failf "service app faulted: %s" f
+  | Some f -> Alcotest.failf "service app faulted: %a" Os.Kernel.pp_fault f
   | None -> ());
   let r =
     W.to_signed W.W16
@@ -188,6 +188,114 @@ let test_disasm_roundtrip () =
   check_bool "has MOV" true (contains "MOV");
   check_bool "has RET (MOV @SP+, PC)" true (contains "@R1+, R0")
 
+(* ------------------------------------------------------------------ *)
+(* The service table is the one statement of every pointer contract;
+   these tie its three readers together. *)
+
+module Apis = Amulet_cc.Apis
+
+let test_contracts_match_signatures () =
+  Array.iter
+    (fun (e : Apis.entry) ->
+      let params =
+        match e.Apis.signature with Amulet_cc.Ctype.Func (_, a) -> a | _ -> []
+      in
+      let ptrs =
+        List.concat
+          (List.mapi
+             (fun i t -> match t with Amulet_cc.Ctype.Ptr _ -> [ i ] | _ -> [])
+             params)
+      in
+      match e.Apis.pointer with
+      | None -> Alcotest.(check (list int)) (e.Apis.name ^ ": no pointer") [] ptrs
+      | Some p -> (
+        Alcotest.(check (list int))
+          (e.Apis.name ^ ": the pointer parameter")
+          [ p.Apis.ptr_arg ] ptrs;
+        match Apis.length_arg p with
+        | Some a ->
+          check_bool (e.Apis.name ^ ": an int length") true
+            (List.nth_opt params a = Some Amulet_cc.Ctype.Int)
+        | None -> ()))
+    Apis.table
+
+(* Over signed length arguments below, inside and above every clamp:
+   (a) the kernel accepts a pointer whose table extent ends exactly at
+   the app's data limit and rejects one a byte higher; (b) no dispatch
+   charges more than [Apis.worst_case_charge], the WCET pass's per-call
+   bound, and a maximal call deep inside the region charges exactly
+   that; (c) the extent the gate certifier takes at a length's upper
+   bound (or, unknown, the clamp's maximum) covers the kernel's extent
+   at every length up to it. *)
+let test_contract_views () =
+  let source = "void handle_init(int arg) { }\n" in
+  let fw = Aft.build ~mode:Iso.Software_only [ { Aft.name = "svc"; source } ] in
+  let k = Os.Kernel.create fw in
+  let app = k.Os.Kernel.apps.(0) in
+  let lay = app.Os.Kernel.build.Aft.ab_layout in
+  let base = lay.Amulet_aft.Layout.data_base
+  and limit = lay.Amulet_aft.Layout.data_limit in
+  let m = k.Os.Kernel.machine in
+  let call ~certified svc ~addr ~length =
+    (* nonzero bytes, so a display string runs to the end of its span *)
+    for a = base to limit - 1 do
+      M.mem_checked_write m W.W8 a 0x41
+    done;
+    Amulet_mcu.Registers.set (M.regs m) 12 (addr land 0xFFFF);
+    Amulet_mcu.Registers.set (M.regs m) 13 (length land 0xFFFF);
+    let api = k.Os.Kernel.api in
+    let before = api.Os.Api.charged_cycles in
+    let effects =
+      Os.Api.dispatch api m
+        ~certified:(Array.make (Array.length Apis.table) certified)
+        ~valid:app.Os.Kernel.valid_ranges ~now_ms:5_000 ~svc
+    in
+    ( List.exists (function Os.Api.Pointer_fault _ -> true | _ -> false) effects,
+      api.Os.Api.charged_cycles - before )
+  in
+  let lengths = [ -32768; -1; 0; 1; 3; 31; 32; 33; 63; 64; 65; 127; 128; 129; 0x7FFF ] in
+  Array.iteri
+    (fun svc (e : Apis.entry) ->
+      match e.Apis.pointer with
+      | None -> ()
+      | Some p ->
+        let worst = Apis.worst_case_charge e in
+        let widest = Apis.extent p None in
+        List.iter
+          (fun length ->
+            let what = Printf.sprintf "%s, length %d" e.Apis.name length in
+            let ext = Apis.extent p (Some length) in
+            let rejected, charged = call ~certified:false svc ~addr:(limit - ext) ~length in
+            check_bool (what ^ ": extent ends at the limit, accepted") false rejected;
+            check_bool (what ^ ": charge within the bound") true
+              (charged <= worst ~certified:false);
+            let rejected, _ = call ~certified:false svc ~addr:(limit - ext + 1) ~length in
+            check_bool (what ^ ": a byte higher, rejected") true rejected;
+            let _, charged = call ~certified:true svc ~addr:(limit - ext) ~length in
+            check_bool (what ^ ": certified charge within the bound") true
+              (charged <= worst ~certified:true);
+            check_bool (what ^ ": unknown length covers it") true (ext <= widest);
+            List.iter
+              (fun upper ->
+                if 0 <= length && length <= upper then
+                  check_bool
+                    (Printf.sprintf "%s: upper bound %d covers it" what upper)
+                    true
+                    (ext <= Apis.extent p (Some upper)))
+              lengths)
+          lengths;
+        let deep = limit - widest - 64 in
+        check_bool (e.Apis.name ^ ": region fits a maximal call") true (deep >= base);
+        List.iter
+          (fun certified ->
+            let _, charged = call ~certified svc ~addr:deep ~length:0x7FFF in
+            check_int
+              (Printf.sprintf "%s: maximal call (certified %b) charges the bound"
+                 e.Apis.name certified)
+              (worst ~certified) charged)
+          [ false; true ])
+    Apis.table
+
 let quick name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -211,6 +319,12 @@ let () =
           quick "led/buzz/button" test_led_buzz_button;
           quick "cancel_timer" test_cancel_timer;
           quick "unsubscribe" test_unsubscribe;
+        ] );
+      ( "contract",
+        [
+          quick "pointer contracts match signatures"
+            test_contracts_match_signatures;
+          quick "kernel, certifier and WCET views agree" test_contract_views;
         ] );
       ("disasm", [ quick "firmware listing" test_disasm_roundtrip ]);
     ]

@@ -91,7 +91,7 @@ let test_kernel_with_shadow () =
       let _ = Os.Kernel.run_for_ms k 1_000 in
       let st = Os.Kernel.app_by_name k "app" in
       (match st.Os.Kernel.last_fault with
-      | Some f -> Alcotest.failf "%s: faulted: %s" (Iso.name mode) f
+      | Some f -> Alcotest.failf "%s: faulted: %a" (Iso.name mode) Os.Kernel.pp_fault f
       | None -> ());
       let count =
         M.mem_checked_read k.Os.Kernel.machine Amulet_mcu.Word.W16
