@@ -50,7 +50,8 @@ let print_human (r : Lint.report) =
 let run mode no_elide shadow format notes_only apps () =
   let fw = Cli.build ~no_elide ~shadow mode apps in
   let image = fw.Aft.fw_image in
-  let report = Lint.run ~image ~mode ~apps:(Lint.apps_of image) in
+  let apps = Amulet_analysis.Section.apps image in
+  let report = Lint.run ~image ~mode ~apps in
   (match format with
   | `Human ->
     print_human report;

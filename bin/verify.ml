@@ -7,6 +7,7 @@
 module Iso = Amulet_cc.Isolation
 module Aft = Amulet_aft.Aft
 module V = Amulet_analysis.Verifier
+module Sec = Amulet_analysis.Section
 
 (* Demonstration mutant: zero the immediate of the first lower-bound
    guard comparison in the app's code section, the binary equivalent
@@ -14,20 +15,7 @@ module V = Amulet_analysis.Verifier
 let corrupt_guard image ~prefix =
   let module I = Amulet_link.Image in
   let module O = Amulet_mcu.Opcode in
-  let code_lo = I.symbol image (Iso.code_lo_sym ~prefix) in
-  let code_hi = I.symbol image (Iso.code_hi_sym ~prefix) in
-  let data_lo = I.symbol image (Iso.data_lo_sym ~prefix) in
-  let fetch a =
-    let rec go = function
-      | [] -> 0
-      | (base, b) :: rest ->
-        if a >= base && a + 1 < base + Bytes.length b then
-          Char.code (Bytes.get b (a - base))
-          lor (Char.code (Bytes.get b (a - base + 1)) lsl 8)
-        else go rest
-    in
-    go image.I.chunks
-  in
+  let sec = Sec.of_image image ~prefix in
   let poke a v =
     List.iter
       (fun (base, b) ->
@@ -38,17 +26,17 @@ let corrupt_guard image ~prefix =
       image.I.chunks
   in
   let rec scan a =
-    if a >= code_hi then None
+    if a >= sec.Sec.s_code_hi then None
     else
-      match Amulet_mcu.Decode.decode ~fetch ~addr:a with
+      match Amulet_mcu.Decode.decode ~fetch:sec.Sec.s_fetch ~addr:a with
       | exception Amulet_mcu.Decode.Illegal _ -> scan (a + 2)
       | O.Fmt1 (O.CMP, _, O.S_immediate k, O.D_reg r), _
-        when k land 0xFFFF = data_lo && r >= 4 ->
+        when k land 0xFFFF = sec.Sec.s_data_lo && r >= 4 ->
         poke (a + 2) 0;
         Some a
       | _, size -> scan (a + size)
   in
-  scan code_lo
+  scan sec.Sec.s_code_lo
 
 let run mode no_elide shadow corrupt apps () =
   let fw = Cli.build ~no_elide ~shadow mode apps in

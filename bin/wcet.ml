@@ -157,7 +157,11 @@ let print_human ~mode ~rate ~budget apps =
 let run mode no_elide shadow rate budget format allow_unbounded apps () =
   let fw = Cli.build ~no_elide ~shadow mode apps in
   let image = fw.Aft.fw_image in
-  let rows = List.map (analyze_app ~image ~mode ~rate) (Lint.apps_of image) in
+  let rows =
+    List.map
+      (analyze_app ~image ~mode ~rate)
+      (Amulet_analysis.Section.apps image)
+  in
   let ok =
     List.for_all
       (fun a ->

@@ -184,7 +184,8 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
           ab_compiled = cu;
           ab_layout = lay;
           ab_handlers = handlers;
-          ab_tramp = Amulet_link.Image.symbol image (Stubs.tramp_label spec.name);
+          ab_tramp =
+            Amulet_link.Image.symbol image (Iso.tramp_label ~prefix:spec.name);
         })
       compiled layout.Layout.apps
   in

@@ -87,7 +87,7 @@ let write_mpu_from_slots ~tag =
   ]
 
 let osreturn ~mode ~os_cfg =
-  [ A.label "__osreturn" ]
+  [ A.label Iso.osreturn_label ]
   @ (if Iso.uses_mpu mode then write_mpu_imm ~tag:"osret" os_cfg else [])
   @ (if Iso.separate_stacks mode then
        [ A.mov (A.Sabs (A.Sym slot_os_sp)) (A.Dreg A.r_sp) ]
@@ -121,12 +121,9 @@ let gates ~mode ~os_cfg =
          gate ~mode ~os_cfg ~svc e.Amulet_cc.Apis.name)
        (Array.to_list Amulet_cc.Apis.table))
 
-let tramp_label name = "__tramp_" ^ name
-let exit_label name = "__exit_" ^ name
-
 let trampoline ~mode ?(shadow = false) ~name ~cfg ~stack_top () =
   [
-    A.label (tramp_label name);
+    A.label (Iso.tramp_label ~prefix:name);
     (* fresh OS stack for this dispatch *)
     A.mov (A.imm Map.sram_limit) (A.Dreg A.r_sp);
   ]
@@ -155,10 +152,10 @@ let trampoline ~mode ?(shadow = false) ~name ~cfg ~stack_top () =
   @ [
       (* the event argument (R12) becomes the handler's stack argument *)
       A.push (A.Sreg 12);
-      A.push (A.sym (exit_label name));
+      A.push (A.sym (Iso.exit_label ~prefix:name));
       (* branch to the handler whose address the dispatcher put in R15 *)
       A.mov (A.Sreg 15) (A.Dreg A.r_pc);
     ]
 
 let exit_stub ~name =
-  [ A.label (exit_label name); A.br (A.Sym "__osreturn") ]
+  [ A.label (Iso.exit_label ~prefix:name); A.br (A.Sym Iso.osreturn_label) ]

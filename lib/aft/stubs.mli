@@ -3,22 +3,25 @@
     All stubs are real assembly executed by the simulator, so every
     cycle of context-switch cost is measured rather than assumed:
 
-    - {b API gates} ([__gate_api_*], shared by all apps): save the
+    - {b API gates} ({!Amulet_cc.Apis.gate_label}, shared by all
+      apps): save the
       callee-saved registers on the app's stack, switch to the OS
       stack (separate-stack modes), flip the MPU to the OS
       configuration (MPU mode), invoke the host service through the
       host-call port, then undo everything in the safe order (the
       app's MPU configuration is restored {e after} the last OS-data
       access, from the [__cur_mpu_*] slots the trampoline filled in).
-    - {b trampolines} ([__tramp_<app>], one per app): reset the OS
+    - {b trampolines} ({!Amulet_cc.Isolation.tramp_label}, one per
+      app): reset the OS
       stack, record the app's MPU configuration, point SP at the app's
       own stack, push the app's exit stub as return address, and
       branch to the handler (address in R15, argument in R12).
-    - {b exit stubs} ([__exit_<app>], injected {e inside} the app's
-      code section so the return-address bounds check accepts them):
-      branch to [__osreturn].
-    - [__osreturn]: restore the OS MPU configuration and stack, then
-      halt the machine to yield back to the host kernel. *)
+    - {b exit stubs} ({!Amulet_cc.Isolation.exit_label}, injected
+      {e inside} the app's code section so the return-address bounds
+      check accepts them): branch to the OS return path.
+    - the OS return path ({!Amulet_cc.Isolation.osreturn_label}):
+      restore the OS MPU configuration and stack, then halt the
+      machine to yield back to the host kernel. *)
 
 module A := Amulet_link.Asm
 
@@ -62,9 +65,6 @@ val trampoline :
 
 val exit_stub : name:string -> A.item list
 (** Appended to the app's own code section. *)
-
-val tramp_label : string -> string
-val exit_label : string -> string
 
 val mpu_marker : string -> string -> string
 (** [mpu_marker tag part] is the zero-size symbol

@@ -25,7 +25,6 @@
      is rejected outright — the class of transfer the interval-based
      SFI verifier cannot classify. *)
 
-module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module D = Amulet_mcu.Decode
 module Cyc = Amulet_mcu.Cycles
@@ -59,52 +58,16 @@ type func = {
 
 type callee =
   | C_local of string
-  | C_helper of string
-  | C_gate of string  (** service name, ["__gate_"] stripped *)
+  | C_extern of int * Section.extern  (** entry address, kind *)
   | C_indirect
 
 type t = {
-  cf_prefix : string;
+  cf_section : Section.t;
   cf_mode : Iso.mode;
-  cf_code_lo : int;
-  cf_code_hi : int;
   cf_funcs : func list;
   cf_insns : int;
-  cf_entry_of : (int, string) Hashtbl.t;  (* function entry -> name *)
-  cf_stub_of : (int, string) Hashtbl.t;  (* stub entry -> name *)
-  cf_extern : (int, string) Hashtbl.t;  (* helper/gate addr -> name *)
   cf_addr_taken : string list;  (* functions whose entry escapes *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Span discovery *)
-
-let is_fn_symbol ~prefix name =
-  let pl = String.length prefix in
-  String.length name > pl + 1
-  && String.sub name 0 pl = prefix
-  && name.[pl] = '$'
-  &&
-  let rest = String.sub name (pl + 1) (String.length name - pl - 1) in
-  rest <> "" && not (String.contains rest '$')
-
-let is_stub_symbol ~prefix name =
-  let fault = (if prefix = "" then "os" else prefix) ^ "$$fault" in
-  let fl = String.length fault in
-  (String.length name >= fl && String.sub name 0 fl = fault)
-  || name = prefix ^ "$$exit"
-  || name = "__exit_" ^ prefix
-
-(* (entry, name, is_stub) for every span start, sorted by address. *)
-let spans (image : I.t) ~prefix ~code_lo ~code_hi =
-  List.filter_map
-    (fun (name, a) ->
-      if a < code_lo || a >= code_hi then None
-      else if is_fn_symbol ~prefix name then Some (a, name, false)
-      else if is_stub_symbol ~prefix name then Some (a, name, true)
-      else None)
-    image.I.symbols
-  |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
 (* Instruction classification *)
@@ -184,18 +147,10 @@ let cmp_is_shadow cell op =
 (* ------------------------------------------------------------------ *)
 (* Reconstruction *)
 
-let reconstruct ~(image : I.t) ~mode ~prefix =
-  let sym name =
-    try I.symbol image name
-    with Not_found ->
-      invalid_arg
-        (Printf.sprintf "cfi: image has no symbol %s (prefix %S)" name prefix)
-  in
-  let code_lo = sym (Iso.code_lo_sym ~prefix) in
-  let code_hi = sym (Iso.code_hi_sym ~prefix) in
-  let data_lo = sym (Iso.data_lo_sym ~prefix) in
-  let data_hi = sym (Iso.data_hi_sym ~prefix) in
-  let fetch = Verifier.make_fetch image in
+let reconstruct ~image ~mode ~prefix =
+  let sec = Section.of_image image ~prefix in
+  let code_lo = sec.Section.s_code_lo and code_hi = sec.Section.s_code_hi in
+  let fetch = sec.Section.s_fetch in
   let viols = ref [] in
   let report a op reason =
     let text =
@@ -203,24 +158,19 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
     in
     viols := { cv_addr = a; cv_text = text; cv_reason = reason } :: !viols
   in
-  let extern = Hashtbl.create 16 in
-  List.iter
-    (fun (name, a) ->
-      if
-        List.mem name Verifier.helper_names
-        || (String.length name >= 7 && String.sub name 0 7 = "__gate_")
-      then Hashtbl.replace extern a name)
-    image.I.symbols;
-  let span_list = spans image ~prefix ~code_lo ~code_hi in
+  let extern = sec.Section.s_externs in
+  (* (entry, name, is_stub) for every span start, sorted by address *)
+  let span stub (e : Section.entry) = (e.addr, e.symbol, stub) in
+  let span_list =
+    List.sort compare
+      (List.map (span false) sec.Section.s_functions
+      @ List.map (span true) sec.Section.s_stubs)
+  in
   if span_list = [] then
     invalid_arg
       (Printf.sprintf "cfi: no function symbols in code section of %S" prefix);
-  let entry_of = Hashtbl.create 16 and stub_of = Hashtbl.create 8 in
-  List.iter
-    (fun (a, name, stub) ->
-      Hashtbl.replace (if stub then stub_of else entry_of) a name)
-    span_list;
-  let span_entry a = Hashtbl.mem entry_of a || Hashtbl.mem stub_of a in
+  let is_entry a = Option.is_some (Section.function_at sec a) in
+  let span_entry a = is_entry a || Option.is_some (Section.stub_at sec a) in
   (* uncovered bytes before the first span would be unreachable code
      we cannot attribute; reject them *)
   (match span_list with
@@ -452,7 +402,7 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
             | i :: rest ->
               (match i.i_op with
               | O.Fmt2 (O.CALL, _, O.S_immediate k) ->
-                if Hashtbl.mem entry_of k || Hashtbl.mem extern k then ()
+                if is_entry k || Hashtbl.mem extern k then ()
                 else
                   report i.i_addr (Some i.i_op)
                     (Printf.sprintf
@@ -501,31 +451,26 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
               match i.i_op with
               | O.Fmt2 (O.CALL, _, _) -> ()
               | _ when Option.is_some (br_target i.i_op) -> ()
-              | O.Fmt1 (_, _, O.S_immediate k, _) -> (
-                match Hashtbl.find_opt entry_of k with
-                | Some n -> Hashtbl.replace addr_taken n ()
-                | None -> ())
-              | O.Fmt2 (O.PUSH, _, O.S_immediate k) -> (
-                match Hashtbl.find_opt entry_of k with
-                | Some n -> Hashtbl.replace addr_taken n ()
-                | None -> ())
+              | O.Fmt1 (_, _, O.S_immediate k, _)
+              | O.Fmt2 (O.PUSH, _, O.S_immediate k) ->
+                Option.iter
+                  (fun n -> Hashtbl.replace addr_taken n ())
+                  (Section.function_at sec k)
               | _ -> ())
             b.b_insns)
         blocks)
     funcs;
-  let a = ref (data_lo land lnot 1) in
-  while !a + 1 < data_hi do
-    (match Hashtbl.find_opt entry_of (fetch !a) with
-    | Some n -> Hashtbl.replace addr_taken n ()
-    | None -> ());
+  let a = ref (sec.Section.s_data_lo land lnot 1) in
+  while !a + 1 < sec.Section.s_data_hi do
+    Option.iter
+      (fun n -> Hashtbl.replace addr_taken n ())
+      (Section.function_at sec (fetch !a));
     a := !a + 2
   done;
   let t =
     {
-      cf_prefix = prefix;
+      cf_section = sec;
       cf_mode = mode;
-      cf_code_lo = code_lo;
-      cf_code_hi = code_hi;
       cf_funcs =
         List.map
           (fun (name, entry, limit, stub, blocks) ->
@@ -533,9 +478,6 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
               f_stub = stub; f_blocks = blocks })
           funcs;
       cf_insns = !total_insns;
-      cf_entry_of = entry_of;
-      cf_stub_of = stub_of;
-      cf_extern = extern;
       cf_addr_taken =
         Hashtbl.fold (fun k () acc -> k :: acc) addr_taken []
         |> List.sort compare;
@@ -551,15 +493,12 @@ let reconstruct ~(image : I.t) ~mode ~prefix =
 let call_target t op =
   match op with
   | O.Fmt2 (O.CALL, _, O.S_immediate k) -> (
-    match Hashtbl.find_opt t.cf_entry_of k with
+    match Section.function_at t.cf_section k with
     | Some n -> Some (C_local n)
-    | None -> (
-      match Hashtbl.find_opt t.cf_extern k with
-      | Some n ->
-        if String.length n >= 7 && String.sub n 0 7 = "__gate_" then
-          Some (C_gate (String.sub n 7 (String.length n - 7)))
-        else Some (C_helper n)
-      | None -> None))
+    | None ->
+      Option.map
+        (fun x -> C_extern (k, x))
+        (Hashtbl.find_opt t.cf_section.Section.s_externs k))
   | O.Fmt2 (O.CALL, _, O.S_reg _) -> Some C_indirect
   | _ -> None
 
@@ -586,8 +525,8 @@ let pp_cfg ppf t =
                 (fun i ->
                   match call_target t i.i_op with
                   | Some (C_local n) -> Some n
-                  | Some (C_helper n) -> Some n
-                  | Some (C_gate s) -> Some ("gate:" ^ s)
+                  | Some (C_extern (_, Section.Gate s)) -> Some ("gate:" ^ s)
+                  | Some (C_extern (_, x)) -> Some (Section.extern_symbol x)
                   | Some C_indirect -> Some "<indirect>"
                   | None -> None)
                 b.b_insns

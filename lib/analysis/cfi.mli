@@ -50,20 +50,14 @@ type func = {
 
 type callee =
   | C_local of string
-  | C_helper of string
-  | C_gate of string  (** service name, ["__gate_"] stripped *)
+  | C_extern of int * Section.extern  (** entry address, kind *)
   | C_indirect
 
 type t = {
-  cf_prefix : string;
+  cf_section : Section.t;  (** the section the CFG was read from *)
   cf_mode : Amulet_cc.Isolation.mode;
-  cf_code_lo : int;
-  cf_code_hi : int;
   cf_funcs : func list;
   cf_insns : int;
-  cf_entry_of : (int, string) Hashtbl.t;
-  cf_stub_of : (int, string) Hashtbl.t;
-  cf_extern : (int, string) Hashtbl.t;
   cf_addr_taken : string list;
       (** functions whose entry address escapes into a register or the
           data section — the possible targets of any indirect call *)

@@ -39,7 +39,7 @@ type value = Top | Iv of int * int | Fp of int * int
 
 type site = {
   gs_fn : string;  (** mangled name of the enclosing function *)
-  gs_addr : int;  (** address of the CALL #__gate_* instruction *)
+  gs_addr : int;  (** address of the gate CALL instruction *)
   gs_service : string;
   gs_certified : bool;
   gs_reason : string;
@@ -52,12 +52,10 @@ type t = {
           certified (and that have at least one such site) *)
 }
 
-let signed16 k = if k land 0x8000 <> 0 then (k land 0xFFFF) - 0x10000 else k
-
 (* signed view of an unsigned interval; None when it spans the sign
    boundary *)
 let signed_iv l h =
-  let sl = signed16 l and sh = signed16 h in
+  let sl = W.to_signed W.W16 l and sh = W.to_signed W.W16 h in
   if sl <= sh then Some (sl, sh) else None
 
 let join_value a b =
@@ -172,36 +170,31 @@ let extent (p : Apis.pointer) regs =
   in
   Apis.extent p length
 
-type bounds = {
-  data_lo : int;
-  data_hi : int;
-  stack_top : int option;
-  sep : bool;  (** separate-stack mode *)
-}
-
-let certify_arg bounds stack fname regs (p : Apis.pointer) =
+let certify_arg (cfg : Cfi.t) stack fname regs (p : Apis.pointer) =
+  let sec = cfg.Cfi.cf_section in
+  let data_lo = sec.Section.s_data_lo and data_hi = sec.Section.s_data_hi in
   let idx = p.Apis.ptr_arg in
   let ext = extent p regs in
   match regs.(12 + idx) with
   | Top -> (false, Printf.sprintf "arg %d: provenance unknown" idx)
   | Iv (l, h) ->
-    if l >= bounds.data_lo && h + ext <= bounds.data_hi then
+    if l >= data_lo && h + ext <= data_hi then
       ( true,
         Printf.sprintf "arg %d: [%04X,%04X]+%d within the D region" idx l h ext
       )
     else
       (false, Printf.sprintf "arg %d: [%04X,%04X]+%d escapes the D region" idx l h ext)
   | Fp (dl, dh) -> (
-    if not bounds.sep then
+    if not (Iso.separate_stacks cfg.Cfi.cf_mode) then
       (false, Printf.sprintf "arg %d: frame-relative with a shared stack" idx)
     else
-      match (bounds.stack_top, Stackcert.entry_max_of stack fname) with
+      match (sec.Section.s_stack_top, Stackcert.entry_max_of stack fname) with
       | Some top, Some em ->
         (* FP = entry SP - 2 (saved FP), and the entry SP sits between
            [stack_top - entry_max] and [stack_top - trampoline] *)
         let fp_min = top - em - 2
         and fp_max = top - Stackcert.trampoline_bytes - 2 in
-        if fp_min + dl >= bounds.data_lo && fp_max + dh + ext <= bounds.data_hi
+        if fp_min + dl >= data_lo && fp_max + dh + ext <= data_hi
         then
           ( true,
             Printf.sprintf "arg %d: FP%+d..FP%+d+%d within the D region" idx dl
@@ -215,23 +208,7 @@ let certify_arg bounds stack fname regs (p : Apis.pointer) =
          Printf.sprintf "arg %d: no certified entry depth for %s" idx fname)
       | None, _ -> (false, Printf.sprintf "arg %d: no stack_top symbol" idx))
 
-let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) ~(image : I.t) =
-  let prefix = cfg.Cfi.cf_prefix in
-  let sym name =
-    try I.symbol image name
-    with Not_found ->
-      invalid_arg (Printf.sprintf "gate_taint: image has no %s" name)
-  in
-  let bounds =
-    {
-      data_lo = sym (Iso.data_lo_sym ~prefix);
-      data_hi = sym (Iso.data_hi_sym ~prefix);
-      stack_top =
-        (try Some (I.symbol image (Iso.stack_top_sym ~prefix) land lnot 1)
-         with Not_found -> None);
-      sep = Iso.separate_stacks cfg.Cfi.cf_mode;
-    }
-  in
+let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) =
   let sites = ref [] in
   List.iter
     (fun (f : Cfi.func) ->
@@ -245,12 +222,12 @@ let analyze ~(cfg : Cfi.t) ~(stack : Stackcert.t) ~(image : I.t) =
             List.iter
               (fun (i : Cfi.insn) ->
                 (match Cfi.call_target cfg i.Cfi.i_op with
-                | Some (Cfi.C_gate svc) -> (
+                | Some (Cfi.C_extern (_, Section.Gate svc)) -> (
                   match (Apis.of_name svc).Apis.pointer with
                   | None -> () (* nothing for the kernel to validate *)
                   | Some p ->
                     let certified, reason =
-                      certify_arg bounds stack f.Cfi.f_name regs p
+                      certify_arg cfg stack f.Cfi.f_name regs p
                     in
                     sites :=
                       {

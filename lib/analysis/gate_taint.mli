@@ -16,7 +16,7 @@ type value = Top | Iv of int * int | Fp of int * int
 
 type site = {
   gs_fn : string;  (** mangled name of the enclosing function *)
-  gs_addr : int;  (** address of the CALL #__gate_* instruction *)
+  gs_addr : int;  (** address of the gate CALL instruction *)
   gs_service : string;
   gs_certified : bool;
   gs_reason : string;
@@ -30,10 +30,7 @@ type t = {
           certified (and that have at least one such site) *)
 }
 
-val analyze :
-  cfg:Cfi.t -> stack:Stackcert.t -> image:Amulet_link.Image.t -> t
-(** @raise Invalid_argument when the image lacks the app's
-    data-section bound symbols. *)
+val analyze : cfg:Cfi.t -> stack:Stackcert.t -> t
 
 val note : prefix:string -> string list -> (string * string) option
 (** The [cert.gates.<prefix>] image note recording [prefix]'s certified

@@ -53,21 +53,6 @@ type report = {
   l_warnings : int;
 }
 
-let code_start_suffix = "_code__start"
-
-(* App prefixes present in the image, in address order, discovered
-   from the linker's section-bound symbols. *)
-let apps_of (image : I.t) =
-  List.filter_map
-    (fun (name, addr) ->
-      let n = String.length name and sn = String.length code_start_suffix in
-      if n > sn && String.sub name (n - sn) sn = code_start_suffix then
-        let prefix = String.sub name 0 (n - sn) in
-        if prefix = "os" then None else Some (addr, prefix)
-      else None)
-    image.I.symbols
-  |> List.sort compare |> List.map snd
-
 let severity_name = function Note -> "note" | Warn -> "warning" | Error -> "error"
 
 type gates_chain = {
@@ -86,13 +71,13 @@ let gates_chain ~image ~mode ~prefix =
   let stack =
     lazy
       (match Lazy.force cfi with
-      | Ok cfg -> Some (Stackcert.analyze ~cfg ~image)
+      | Ok cfg -> Some (Stackcert.analyze ~cfg)
       | Error _ -> None)
   in
   let gates =
     lazy
       (match (Lazy.force cfi, Lazy.force stack) with
-      | Ok cfg, Some stack -> Some (Gate_taint.analyze ~cfg ~stack ~image)
+      | Ok cfg, Some stack -> Some (Gate_taint.analyze ~cfg ~stack)
       | _ -> None)
   in
   let certified =

@@ -43,10 +43,6 @@ type report = {
   l_warnings : int;
 }
 
-val apps_of : Amulet_link.Image.t -> string list
-(** App prefixes in the image, in address order, from the linker's
-    [<prefix>_code__start] symbols (the OS section excluded). *)
-
 val run :
   image:Amulet_link.Image.t ->
   mode:Amulet_cc.Isolation.mode ->

@@ -40,9 +40,7 @@ let smin = -32768
 let smax = 32767
 let off_cap = 1 lsl 20
 
-let s16 v =
-  let v = v land 0xFFFF in
-  if v >= 0x8000 then v - 0x10000 else v
+let s16 = Amulet_mcu.Word.(to_signed W16)
 
 (* Constructors bail to Top when the machine result could wrap: the
    16-bit result is s16 (x mod 2^16), which equals our exact integer

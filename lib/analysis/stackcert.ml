@@ -15,8 +15,8 @@
    ({!Amulet_cc.Stack_depth}): the two are computed from independent
    artifacts and cross-checked in the tests. *)
 
-module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
+module W = Amulet_mcu.Word
 module Iso = Amulet_cc.Isolation
 
 type verdict =
@@ -44,22 +44,7 @@ type t = {
    the event argument's saved R12 and the exit-label return address. *)
 let trampoline_bytes = 4
 
-(* Stack bytes an external callee occupies below the caller's SP,
-   including its own return address (and, for gates, the 8 saved
-   registers pushed before the stack switch). *)
-let extern_cost name =
-  if String.length name >= 7 && String.sub name 0 7 = "__gate_" then 18
-  else
-    match name with
-    | "__umodhi" -> 4
-    | "__divhi" | "__modhi" -> 6
-    | "__mulhi" | "__udivhi" | "__udivmod" | "__shlhi" | "__shrhi"
-    | "__sarhi" | "__bounds_check" -> 2
-    | _ -> 8 (* unknown external: conservative *)
-
 exception Unanalyzable_sp of int * string
-
-let signed16 k = if k land 0x8000 <> 0 then (k land 0xFFFF) - 0x10000 else k
 
 (* ------------------------------------------------------------------ *)
 (* Local pass: SP displacement per function *)
@@ -83,8 +68,9 @@ let step_insn addr (sp, fp) op =
     | None ->
       raise (Unanalyzable_sp (addr, "SP restored from an untracked R4")))
   | O.Fmt1 (O.ADD, _, O.S_immediate k, O.D_reg 1) ->
-    (max 0 (sp - signed16 k), fp)
-  | O.Fmt1 (O.SUB, _, O.S_immediate k, O.D_reg 1) -> (sp + signed16 k, fp)
+    (max 0 (sp - W.to_signed W.W16 k), fp)
+  | O.Fmt1 (O.SUB, _, O.S_immediate k, O.D_reg 1) ->
+    (sp + W.to_signed W.W16 k, fp)
   | O.Fmt1 (O.MOV, _, O.S_indirect_inc 1, O.D_reg d) ->
     (* pop; popping the saved FP un-tracks R4 *)
     (max 0 (sp - 2), if d = 4 then None else fp)
@@ -145,21 +131,16 @@ let analyze_function (f : Cfi.func) : local =
 
 exception Cycle of string list
 
-let analyze ~(cfg : Cfi.t) ~(image : I.t) =
-  let prefix = cfg.Cfi.cf_prefix in
+let analyze ~(cfg : Cfi.t) =
+  let sec = cfg.Cfi.cf_section in
+  let prefix = sec.Section.s_prefix in
   let funcs = Cfi.functions cfg in
-  let unmangled name =
-    let pl = String.length prefix + 1 in
-    if prefix <> "" && String.length name > pl then
-      String.sub name pl (String.length name - pl)
-    else name
-  in
+  (* dispatch roots: the handlers, and [main] of a standalone program *)
   let roots =
     List.filter
       (fun (f : Cfi.func) ->
-        let n = unmangled f.Cfi.f_name in
-        n = "main"
-        || (String.length n >= 7 && String.sub n 0 7 = "handle_"))
+        f.Cfi.f_name = Iso.mangle ~prefix "main"
+        || List.mem f.Cfi.f_name sec.Section.s_handlers)
       funcs
   in
   let locals = Hashtbl.create 16 in
@@ -210,9 +191,10 @@ let analyze ~(cfg : Cfi.t) ~(image : I.t) =
             | Some (Cfi.C_local g) ->
               let d, chain = wcs (name :: path) g in
               consider sp (2 + d) chain
-            | Some (Cfi.C_helper h) -> consider sp (extern_cost h) [ h ]
-            | Some (Cfi.C_gate s) ->
-              consider sp (extern_cost ("__gate_" ^ s)) [ "__gate_" ^ s ]
+            | Some (Cfi.C_extern (_, x)) ->
+              consider sp
+                (Section.extern_stack_bytes x)
+                [ Section.extern_symbol x ]
             | Some Cfi.C_indirect ->
               List.iter
                 (fun g ->
@@ -299,14 +281,14 @@ let analyze ~(cfg : Cfi.t) ~(image : I.t) =
         { sc_verdict = Not_applicable; sc_fn_depth = fd; sc_entry_max = em }
       else
         let stack_top =
-          try I.symbol image (Iso.stack_top_sym ~prefix) land lnot 1
-          with Not_found ->
+          match sec.Section.s_stack_top with
+          | Some a -> a
+          | None ->
             invalid_arg
               (Printf.sprintf "stackcert: image has no %s"
                  (Iso.stack_top_sym ~prefix))
         in
-        let data_lo = I.symbol image (Iso.data_lo_sym ~prefix) in
-        let region = stack_top - data_lo in
+        let region = stack_top - sec.Section.s_data_lo in
         let verdict =
           if bound <= region then Certified { bound; region; chain }
           else Rejected { bound; region; chain }

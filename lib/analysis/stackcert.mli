@@ -26,7 +26,7 @@ type t = {
 
 val trampoline_bytes : int
 
-val analyze : cfg:Cfi.t -> image:Amulet_link.Image.t -> t
+val analyze : cfg:Cfi.t -> t
 (** @raise Invalid_argument when a separate-stack image lacks the
     [stack_top] symbol for the app. *)
 

@@ -145,13 +145,8 @@ type cmp_src = Cs_iv of int * int | Cs_shadow
 
 type ctx = {
   mode : Iso.mode;
-  code_lo : int;
-  code_hi : int;
-  data_lo : int;
-  data_hi : int;
-  extern_ok : (int, string) Hashtbl.t;  (* whitelisted call/branch targets *)
+  sec : Section.t;
   bc_addr : int option;  (* __bounds_check, when linked *)
-  fetch : int -> int;
 }
 
 type recorder = {
@@ -166,20 +161,20 @@ let checked ctx = ctx.mode <> Iso.No_isolation
 let region_ok ctx (l, h) =
   match ctx.mode with
   | Iso.No_isolation -> true
-  | Iso.Mpu_assisted -> l >= ctx.data_lo (* MPU enforces the upper bound *)
+  | Iso.Mpu_assisted -> l >= ctx.sec.s_data_lo (* MPU: upper bound *)
   | Iso.Software_only | Iso.Feature_limited ->
-    l >= ctx.data_lo && h < ctx.data_hi
+    l >= ctx.sec.s_data_lo && h < ctx.sec.s_data_hi
 
 let code_ok ctx (l, h) =
   match ctx.mode with
   | Iso.No_isolation -> true
-  | Iso.Mpu_assisted -> l >= ctx.code_lo
+  | Iso.Mpu_assisted -> l >= ctx.sec.s_code_lo
   | Iso.Software_only | Iso.Feature_limited ->
-    l >= ctx.code_lo && h < ctx.code_hi
+    l >= ctx.sec.s_code_lo && h < ctx.sec.s_code_hi
 
 (* absolute addresses an app may always write / read *)
 let abs_store_ok ctx a =
-  (a >= ctx.data_lo && a < ctx.data_hi)
+  (a >= ctx.sec.s_data_lo && a < ctx.sec.s_data_hi)
   || List.mem a
        [
          M.halt_port; M.console_port; M.sw_fault_port; T.ctl_addr;
@@ -187,16 +182,10 @@ let abs_store_ok ctx a =
        ]
 
 let abs_load_ok ctx a =
-  (a >= ctx.data_lo && a < ctx.data_hi)
+  (a >= ctx.sec.s_data_lo && a < ctx.sec.s_data_hi)
   || List.mem a [ T.counter_addr; Iso.shadow_sp_addr ]
 
 let bounds_of = function Iv (l, h) -> (l, h) | _ -> (0, 0xFFFF)
-
-let helper_names =
-  [
-    "__mulhi"; "__udivhi"; "__udivmod"; "__umodhi"; "__divhi"; "__modhi";
-    "__shlhi"; "__shrhi"; "__sarhi"; "__bounds_check"; "__osreturn";
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Single-trace interpreter.
@@ -249,7 +238,8 @@ let run ctx ?recorder st0 addr0 =
     if r = 1 then kill_tos ()
   in
   let add_succ a insn t st' =
-    if t >= ctx.code_lo && t < ctx.code_hi then succs := (t, st') :: !succs
+    if t >= ctx.sec.s_code_lo && t < ctx.sec.s_code_hi then
+      succs := (t, st') :: !succs
     else viol a insn "jump target outside the app code section"
   in
   (* dynamic memory access through a computed address *)
@@ -268,7 +258,7 @@ let run ctx ?recorder st0 addr0 =
     | Frame -> () (* FP-relative with proven frame pointer *)
     | Shadow -> () (* shadow-stack maintenance pattern *)
     | v ->
-      let soff = if off land 0x8000 <> 0 then off - 0x10000 else off in
+      let soff = W.to_signed W.W16 off in
       let v =
         if soff = 0 then v
         else
@@ -360,12 +350,12 @@ let run ctx ?recorder st0 addr0 =
   in
   while not !stop do
     let a = !addr in
-    if a < ctx.code_lo || a >= ctx.code_hi then begin
+    if a < ctx.sec.s_code_lo || a >= ctx.sec.s_code_hi then begin
       viol a None "control runs past the end of the code section";
       stop := true
     end
     else
-      match D.decode ~fetch:ctx.fetch ~addr:a with
+      match D.decode ~fetch:ctx.sec.s_fetch ~addr:a with
       | exception D.Illegal w ->
         viol a None (Printf.sprintf "undecodable word 0x%04X" w);
         stop := true
@@ -405,9 +395,9 @@ let run ctx ?recorder st0 addr0 =
         | O.Fmt1 (O.MOV, _, O.S_immediate k, O.D_reg 0) ->
           (* BR #addr *)
           let k = k land 0xFFFF in
-          if k >= ctx.code_lo && k < ctx.code_hi then
+          if k >= ctx.sec.s_code_lo && k < ctx.sec.s_code_hi then
             add_succ a ii k (copy_state st)
-          else if not (Hashtbl.mem ctx.extern_ok k) then
+          else if not (Hashtbl.mem ctx.sec.s_externs k) then
             viol a ii
               (Printf.sprintf
                  "branch to 0x%04X, outside the section and not a runtime \
@@ -425,9 +415,9 @@ let run ctx ?recorder st0 addr0 =
           (match s with
           | O.S_immediate k ->
             let k = k land 0xFFFF in
-            if k >= ctx.code_lo && k < ctx.code_hi then
+            if k >= ctx.sec.s_code_lo && k < ctx.sec.s_code_hi then
               calls := k :: !calls
-            else if not (Hashtbl.mem ctx.extern_ok k) then
+            else if not (Hashtbl.mem ctx.sec.s_externs k) then
               viol a ii
                 (Printf.sprintf
                    "call to 0x%04X, outside the section and not a runtime \
@@ -543,86 +533,28 @@ let run ctx ?recorder st0 addr0 =
 (* ------------------------------------------------------------------ *)
 (* Whole-section verification *)
 
-let make_fetch (image : I.t) =
-  let chunks = image.I.chunks in
-  fun a ->
-    let rec go = function
-      | [] -> 0
-      | (base, b) :: rest ->
-        if a >= base && a + 1 < base + Bytes.length b then
-          Char.code (Bytes.get b (a - base))
-          lor (Char.code (Bytes.get b (a - base + 1)) lsl 8)
-        else go rest
-    in
-    go chunks
-
-(* External control can only enter an app at its function symbols
-   (<prefix>$name with no further '$' — compiler-internal labels use
-   "$$") or at its exit stub; everything else is reached by edges. *)
-let entry_points (image : I.t) ~prefix ~code_lo ~code_hi =
-  let pl = String.length prefix in
-  List.filter_map
-    (fun (name, a) ->
-      if a < code_lo || a >= code_hi then None
-      else
-        let is_fn =
-          String.length name > pl + 1
-          && String.sub name 0 pl = prefix
-          && name.[pl] = '$'
-          &&
-          let rest = String.sub name (pl + 1) (String.length name - pl - 1) in
-          not (String.contains rest '$')
-        in
-        if is_fn || name = prefix ^ "$$exit" || name = "__exit_" ^ prefix
-        then Some a
-        else None)
-    image.I.symbols
-
 let widen_limit = 8
 
 let verify_app ~(image : I.t) ~mode ~prefix =
-  let sym name =
-    try I.symbol image name
-    with Not_found ->
-      invalid_arg
-        (Printf.sprintf "verifier: image has no symbol %s (prefix %S)" name
-           prefix)
-  in
-  let code_lo = sym (Iso.code_lo_sym ~prefix) in
-  let code_hi = sym (Iso.code_hi_sym ~prefix) in
-  let data_lo = sym (Iso.data_lo_sym ~prefix) in
-  let data_hi = sym (Iso.data_hi_sym ~prefix) in
-  let extern_ok = Hashtbl.create 16 in
-  List.iter
-    (fun (name, a) ->
-      let is_helper =
-        List.mem name helper_names
-        || String.length name >= 7
-           && String.sub name 0 7 = "__gate_"
-      in
-      if is_helper then Hashtbl.replace extern_ok a name)
-    image.I.symbols;
+  let sec = Section.of_image image ~prefix in
   let ctx =
     {
       mode;
-      code_lo;
-      code_hi;
-      data_lo;
-      data_hi;
-      extern_ok;
+      sec;
       bc_addr =
         (try Some (I.symbol image "__bounds_check") with Not_found -> None);
-      fetch = make_fetch image;
     }
   in
-  (* fixpoint over block-entry states; a block that keeps changing
-     past the limit restarts from the top state *)
+  (* external control can only enter an app at its functions or its
+     exit stub; everything else is reached by edges.  A block that
+     keeps changing past the widening limit restarts from the top
+     state. *)
   let states =
     Worklist.solve
       ~entries:
         (List.map
-           (fun a -> (a, top_state ()))
-           (entry_points image ~prefix ~code_lo ~code_hi))
+           (fun (e : Section.entry) -> (e.addr, top_state ()))
+           (sec.Section.s_functions @ Option.to_list sec.Section.s_exit))
       ~join:state_join ~equal:state_equal
       ~widen:(fun _ ~count ~old:_ j ->
         if count > widen_limit then top_state () else j)

@@ -49,19 +49,12 @@ val verify_app :
   mode:Amulet_cc.Isolation.mode ->
   prefix:string ->
   (stats, violation list) result
-(** Verify the app code section of [prefix] (between the linker's
-    [<prefix>_code__start]/[__end] symbols) against [mode]'s
-    isolation policy.  Under [No_isolation] every image is accepted.
+(** Verify the app code section of [prefix] (read through
+    {!Section}) against [mode]'s isolation policy.  Under
+    [No_isolation] every image is accepted.
     @raise Invalid_argument when the image lacks the section-bound
     symbols for [prefix]. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
-val helper_names : string list
-(** Runtime helpers apps may call or branch to ([__mulhi],
-    [__bounds_check], [__osreturn], ...).  Shared with the CFI pass so
-    both analyses agree on the sanctioned externals. *)
-
-val make_fetch : Amulet_link.Image.t -> int -> int
-(** Word fetch over the image's chunks (0 outside any chunk). *)

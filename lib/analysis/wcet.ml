@@ -3,6 +3,7 @@ module O = Amulet_mcu.Opcode
 module D = Amulet_mcu.Decode
 module M = Amulet_mcu.Machine
 module Cyc = Amulet_mcu.Cycles
+module Iso = Amulet_cc.Isolation
 
 type verdict =
   | Bounded of int
@@ -172,16 +173,11 @@ let solve ~bounds ~what ~entry nodes =
 (* ------------------------------------------------------------------ *)
 
 let analyze ~image ~(cfg : Cfi.t) =
-  let prefix = cfg.Cfi.cf_prefix in
+  let sec = cfg.Cfi.cf_section in
+  let prefix = sec.Section.s_prefix in
   let bounds = loop_bounds image in
-  let fetch = Verifier.make_fetch image in
+  let fetch = sec.Section.s_fetch in
   let certified = Gate_taint.stamped image ~prefix in
-  let helper_entries =
-    List.filter_map
-      (fun n ->
-        if I.has_symbol image n then Some (I.symbol image n, n) else None)
-      Verifier.helper_names
-  in
   (* ---- OS-side spans: stubs, gates, runtime helpers ----
      Instruction-level exploration from an entry address; terminals
      are RET, RETI, computed PC writes (the trampoline's dispatch into
@@ -240,8 +236,8 @@ let analyze ~image ~(cfg : Cfi.t) =
             | _ when Cfi.is_computed_pc_write op -> (base, [])
             | O.Fmt2 (O.CALL, _, O.S_immediate k) ->
               let callee =
-                match List.assoc_opt k helper_entries with
-                | Some n -> span_wcet ~what:n k
+                match Hashtbl.find_opt sec.Section.s_externs k with
+                | Some x -> span_wcet ~what:(Section.extern_symbol x) k
                 | None -> span_wcet ~what:(Printf.sprintf "0x%04X" k) k
               in
               (base + callee, [ a + size ])
@@ -260,15 +256,15 @@ let analyze ~image ~(cfg : Cfi.t) =
     solve ~bounds ~what ~entry
       (Hashtbl.fold (fun a (c, ss) acc -> (a, c, ss) :: acc) nodes [])
   in
-  let gate_cost svc =
-    let lbl = Amulet_cc.Apis.gate_label svc in
-    if not (I.has_symbol image lbl) then
-      raise (Unb ("missing gate stub " ^ lbl, []))
-    else
-      span_wcet ~what:lbl (I.symbol image lbl)
-      + Amulet_cc.Apis.worst_case_charge
-          ~certified:(List.mem svc certified)
-          (Amulet_cc.Apis.of_name svc)
+  let extern_cost addr x =
+    span_wcet ~what:(Section.extern_symbol x) addr
+    +
+    match x with
+    | Section.Gate svc ->
+      Amulet_cc.Apis.worst_case_charge
+        ~certified:(List.mem svc certified)
+        (Amulet_cc.Apis.of_name svc)
+    | Section.Helper _ | Section.Os_return -> 0
   in
   (* a block that branches out of its function hits a fault stub whose
      port write still executes before the machine stops *)
@@ -276,9 +272,11 @@ let analyze ~image ~(cfg : Cfi.t) =
     match List.rev b.Cfi.b_insns with
     | last :: _ when b.Cfi.b_succs = [] -> (
       match Cfi.br_target last.Cfi.i_op with
-      | Some k when Hashtbl.mem cfg.Cfi.cf_stub_of k ->
-        span_wcet ~what:(Hashtbl.find cfg.Cfi.cf_stub_of k) k
-      | _ -> 0)
+      | Some k ->
+        Option.fold ~none:0
+          ~some:(fun stub -> span_wcet ~what:stub k)
+          (Section.stub_at sec k)
+      | None -> 0)
     | _ -> 0
   in
   (* ---- app functions ---- *)
@@ -315,11 +313,7 @@ let analyze ~image ~(cfg : Cfi.t) =
                 match Cfi.call_target cfg i.Cfi.i_op with
                 | None -> 0
                 | Some (Cfi.C_local n) -> fn_wcet stack n
-                | Some (Cfi.C_helper n) ->
-                  if I.has_symbol image n then
-                    span_wcet ~what:n (I.symbol image n)
-                  else raise (Unb ("missing helper " ^ n, []))
-                | Some (Cfi.C_gate svc) -> gate_cost svc
+                | Some (Cfi.C_extern (a, x)) -> extern_cost a x
                 | Some Cfi.C_indirect -> (
                   match cfg.Cfi.cf_addr_taken with
                   | [] ->
@@ -369,27 +363,22 @@ let analyze ~image ~(cfg : Cfi.t) =
   in
   (* ---- handlers: trampoline + function + exit/__osreturn ---- *)
   let dispatch_overhead () =
-    let tramp = "__tramp_" ^ prefix and exitl = "__exit_" ^ prefix in
-    List.fold_left
-      (fun acc lbl ->
-        if I.has_symbol image lbl then
-          acc + span_wcet ~what:lbl (I.symbol image lbl)
-        else raise (Unb ("missing dispatch stub " ^ lbl, [])))
-      0 [ tramp; exitl ]
+    let stub lbl = function
+      | Some a -> span_wcet ~what:lbl a
+      | None -> raise (Unb ("missing dispatch stub " ^ lbl, []))
+    in
+    let tramp = Iso.tramp_label ~prefix in
+    let tramp_cost = stub tramp (List.assoc_opt tramp image.I.symbols) in
+    tramp_cost
+    + stub (Iso.exit_label ~prefix)
+        (Option.map (fun e -> e.Section.addr) sec.Section.s_exit)
   in
-  let handler_prefix = prefix ^ "$handle_" in
-  let hplen = String.length handler_prefix in
   let handlers =
     List.filter_map
       (fun fb ->
-        if
-          String.length fb.fb_name > hplen
-          && String.sub fb.fb_name 0 hplen = handler_prefix
-        then begin
+        if List.mem fb.fb_name sec.Section.s_handlers then begin
           let short =
-            String.sub fb.fb_name
-              (String.length prefix + 1)
-              (String.length fb.fb_name - String.length prefix - 1)
+            Option.get (Iso.function_of_symbol ~prefix fb.fb_name)
           in
           let dispatch =
             match dispatch_overhead () with

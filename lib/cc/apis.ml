@@ -103,7 +103,17 @@ let of_name name =
 let signatures =
   Array.to_list (Array.map (fun e -> (e.name, e.signature)) table)
 
-let gate_label name = "__gate_" ^ name
+let gate_prefix = "__gate_"
+let gate_label name = gate_prefix ^ name
+
+let service_of_gate_label label =
+  let n = String.length gate_prefix in
+  if String.starts_with ~prefix:gate_prefix label then
+    Some (String.sub label n (String.length label - n))
+  else None
+
+(* the eight callee-saved registers R4-R11 plus the return address *)
+let gate_stack_bytes = 18
 let is_api_call name = String.starts_with ~prefix:"api_" name
 
 (* ------------------------------------------------------------------ *)

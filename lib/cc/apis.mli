@@ -61,6 +61,15 @@ val of_name : string -> entry
 
 val signatures : (string * Ctype.t) list
 val gate_label : string -> string
+(** [__gate_<name>], the AFT-generated gate of a service. *)
+
+val service_of_gate_label : string -> string option
+(** Inverse of {!gate_label}. *)
+
+val gate_stack_bytes : int
+(** App-stack bytes one gate call occupies before the gate switches to
+    the OS stack — what the compiler's stack bound and the binary
+    stack certifier both charge. *)
 
 val is_api_call : string -> bool
 (** Does a call to this name go through a gate (arguments in R12-R14,

@@ -114,18 +114,15 @@ let note_push c bytes =
 
 let note_pop c bytes = c.cur_push <- c.cur_push - bytes
 
-(* Total stack bytes a runtime-helper or gate call occupies below the
-   caller's SP: its return address plus any pushes of its own (gates
-   save 8 registers; __divhi/__modhi wrap __udivmod). *)
-let note_runtime c callee =
-  let bytes =
-    match callee with
-    | "__gate" -> 18
-    | "__umodhi" -> 4
-    | "__divhi" | "__modhi" -> 6
-    | _ -> 2 (* __mulhi __udivhi __shlhi __shrhi __sarhi __bounds_check *)
-  in
-  if bytes > c.runtime_max then c.runtime_max <- bytes
+(* Call a runtime helper or gate, tracking the deepest stack such a
+   call occupies below the caller's SP. *)
+let call_runtime c ~stack_bytes label =
+  if stack_bytes > c.runtime_max then c.runtime_max <- stack_bytes;
+  out c (A.call label)
+
+let call_helper c name =
+  call_runtime c ~stack_bytes:(Option.get (Runtime.helper name)).stack_bytes
+    name
 
 let fresh c tag =
   c.labels <- c.labels + 1;
@@ -242,8 +239,7 @@ let emit_array_check c idx_reg len =
   out c (A.label gs);
   out c (A.mov (A.Sreg idx_reg) (A.Dreg 14));
   out c (A.mov (A.imm len) (A.Dreg 15));
-  note_runtime c "__bounds_check";
-  out c (A.call "__bounds_check");
+  call_helper c "__bounds_check";
   out c (A.label ge)
 
 (* Discharge the pending check of a dynamic place (before its first
@@ -311,9 +307,7 @@ let lea c place =
 
 let is_signed = function Ctype.Int -> true | _ -> false
 
-let s16 v =
-  let v = v land 0xFFFF in
-  if v >= 0x8000 then v - 0x10000 else v
+let s16 = Amulet_mcu.Word.(to_signed W16)
 
 let u16 v = v land 0xFFFF
 
@@ -361,8 +355,7 @@ let log2_exact n =
 let helper_binop c name ra rb =
   out c (A.mov (A.Sreg ra) (A.Dreg 12));
   out c (A.mov (A.Sreg rb) (A.Dreg 13));
-  note_runtime c name;
-  out c (A.call name);
+  call_helper c name;
   out c (A.mov (A.Sreg 12) (A.Dreg ra))
 
 
@@ -379,8 +372,7 @@ let emit_scale c reg n =
     | None ->
       out c (A.mov (A.Sreg reg) (A.Dreg 12));
       out c (A.mov (A.imm n) (A.Dreg 13));
-      note_runtime c "__mulhi";
-      out c (A.call "__mulhi");
+      call_helper c "__mulhi";
       out c (A.mov (A.Sreg 12) (A.Dreg reg)))
 
 let emit_shift_const c reg k ~kind =
@@ -564,8 +556,7 @@ and eval_bin c op a b loc =
       | None ->
         out c (A.mov (A.Sreg ra) (A.Dreg 12));
         out c (A.mov (A.imm size) (A.Dreg 13));
-        note_runtime c "__divhi";
-        out c (A.call "__divhi");
+        call_helper c "__divhi";
         out c (A.mov (A.Sreg 12) (A.Dreg ra)))
     | _ -> ());
     free_scratch c rb;
@@ -797,8 +788,7 @@ and eval_api_call c name args =
     regs;
   List.iter (free_reg c) regs;
   c.api_calls <- name :: c.api_calls;
-  note_runtime c "__gate";
-  out c (A.call ("__gate_" ^ name));
+  call_runtime c ~stack_bytes:Apis.gate_stack_bytes (Apis.gate_label name);
   let rd = alloc c in
   out c (A.mov (A.Sreg 12) (A.Dreg rd));
   rd
@@ -1232,11 +1222,7 @@ let gen_program ~prefix ~mode ?(shadow = false)
   let handlers =
     List.filter_map
       (fun f ->
-        if
-          String.length f.tfname >= 7
-          && String.sub f.tfname 0 7 = "handle_"
-        then Some f.tfname
-        else None)
+        if Isolation.is_handler f.tfname then Some f.tfname else None)
       prog.funcs
   in
   {

@@ -40,12 +40,24 @@ val separate_stacks : mode -> bool
    "patch with the correct app boundaries". *)
 
 val mangle : prefix:string -> string -> string
+
+val function_of_symbol : prefix:string -> string -> string option
+(** Inverse of {!mangle} for function symbols; compiler-internal
+    labels (a second ['$'] in the name) give [None]. *)
+
+val is_handler : string -> bool
+(** Does the kernel dispatch events to this C function? *)
+
 val code_section : prefix:string -> string
 val data_section : prefix:string -> string
 val code_lo_sym : prefix:string -> string
 val code_hi_sym : prefix:string -> string
 val data_lo_sym : prefix:string -> string
 val data_hi_sym : prefix:string -> string
+
+val app_of_code_lo_sym : string -> string option
+(** Inverse of {!code_lo_sym} over app sections ([None] for the OS
+    section and any other symbol). *)
 
 val stack_top_sym : prefix:string -> string
 (** Zero-size label at the top of the app's stack area (the base of
@@ -84,3 +96,14 @@ val guard_end_suffix : string
 
 val fault_stub_label : prefix:string -> int -> string
 (** Label of the per-app fault stub for a reason code. *)
+
+val is_fault_stub : prefix:string -> string -> bool
+(** Does the symbol label one of [prefix]'s fault stubs? *)
+
+(** Labels of the AFT's dispatch machinery ([Amulet_aft.Stubs]): the
+    trampoline that enters a handler, the exit stub in the app's code
+    section it returns to, and the OS return path that stub enters. *)
+
+val tramp_label : prefix:string -> string
+val exit_label : prefix:string -> string
+val osreturn_label : string

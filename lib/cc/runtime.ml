@@ -160,6 +160,23 @@ let items =
   @ (l bc_begin :: bounds_check)
   @ [ l bc_end; l rt_end ]
 
+type helper = { name : string; stack_bytes : int }
+
+(* The helper entries with the app-stack bytes a call occupies below
+   the caller's SP: the return address, plus the nested [__udivmod]
+   call of [__umodhi], and the saved sign word and nested call of
+   [__divhi]/[__modhi]. *)
+let helpers =
+  List.map
+    (fun (name, stack_bytes) -> { name; stack_bytes })
+    [
+      ("__mulhi", 2); ("__udivhi", 2); ("__udivmod", 2); ("__umodhi", 4);
+      ("__divhi", 6); ("__modhi", 6); ("__shlhi", 2); ("__shrhi", 2);
+      ("__sarhi", 2); ("__bounds_check", 2);
+    ]
+
+let helper name = List.find_opt (fun h -> h.name = name) helpers
+
 (* Iteration bounds of the helper loops, keyed by the loop's header
    label (the back-edge target).  A bound B means the loop body runs
    at most B times per entry; the WCET analysis charges (B+1) header

@@ -16,6 +16,16 @@ val items : Amulet_link.Asm.item list
     [__divhi], [__modhi], [__shlhi], [__shrhi], [__sarhi],
     [__bounds_check]. *)
 
+type helper = { name : string; stack_bytes : int }
+
+val helpers : helper list
+(** Every helper entry in {!items}, with the app-stack bytes one call
+    occupies below the caller's SP — what the compiler's stack bound
+    and the binary stack certifier both charge. *)
+
+val helper : string -> helper option
+(** The entry of {!helpers} with this name. *)
+
 (** Marker symbols bracketing helper ranges for cycle attribution:
     [\[rt_begin, rt_end)] covers all helpers (app work), the nested
     [\[bc_begin, bc_end)] covers [__bounds_check] (guard work). *)

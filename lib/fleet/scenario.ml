@@ -32,35 +32,31 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic randomness (same finalizer as lib/sec/inject.ml)      *)
+(* Deterministic randomness                                            *)
 
 module Rng = struct
-  let mix (s : int64) =
+  let golden = 0x9E3779B97F4A7C15L
+
+  (* splitmix64's output function, truncated to a non-negative int:
+     value [n] of the stream seeded at [s] is [out (s + n * golden)] *)
+  let out (z : int64) =
     let open Int64 in
-    let z = add s 0x9E3779B97F4A7C15L in
     let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
     let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-    logxor z (shift_right_logical z 31)
+    to_int (shift_right_logical (logxor z (shift_right_logical z 31)) 2)
 
   type rng = { mutable state : int64 }
 
   let create seed = { state = Int64.of_int seed }
 
   let draw rng bound =
-    rng.state <- Int64.add rng.state 0x9E3779B97F4A7C15L;
-    let z = mix rng.state in
-    Int64.to_int (Int64.shift_right_logical z 2) mod bound
+    rng.state <- Int64.add rng.state golden;
+    out (Int64.add rng.state golden) mod bound
 end
 
 let device_seed ~seed ~index =
   let open Int64 in
-  let z =
-    add (of_int seed) (mul (of_int (index + 1)) 0x9E3779B97F4A7C15L)
-  in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = logxor z (shift_right_logical z 31) in
-  to_int (shift_right_logical z 2)
+  Rng.out (add (of_int seed) (mul (of_int (index + 1)) Rng.golden))
 
 let mode_weight t = List.fold_left (fun a (_, w) -> a + w) 0 t.sc_modes
 

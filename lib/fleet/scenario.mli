@@ -78,9 +78,10 @@ val mode_devices : t -> (Amulet_cc.Isolation.mode * int) list
 
 val pp : Format.formatter -> t -> unit
 
-(** Deterministic splitmix64 stream, shared by the traffic generator
-    and the tests.  Deliberately not [Random]: schedules must be
-    identical across OCaml versions and across domains. *)
+(** Deterministic splitmix64 stream, shared by the traffic generator,
+    the fault injector and the tests.  Deliberately not [Random]:
+    schedules must be identical across OCaml versions and across
+    domains. *)
 module Rng : sig
   type rng
 

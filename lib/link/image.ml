@@ -12,6 +12,17 @@ let note t key = List.assoc_opt key t.notes
 let with_notes t notes = { t with notes }
 let has_symbol t name = List.mem_assoc name t.symbols
 
+let word t a =
+  let rec go = function
+    | [] -> 0
+    | (base, b) :: rest ->
+      if a >= base && a + 1 < base + Bytes.length b then
+        Char.code (Bytes.get b (a - base))
+        lor (Char.code (Bytes.get b (a - base + 1)) lsl 8)
+      else go rest
+  in
+  go t.chunks
+
 let chunk_containing t addr =
   List.find_opt
     (fun (base, b) -> addr >= base && addr < base + Bytes.length b)

@@ -14,6 +14,10 @@ val symbol : t -> string -> int
 
 val has_symbol : t -> string -> bool
 
+val word : t -> int -> int
+(** [word t a] is the little-endian 16-bit word at [a], read from the
+    chunk holding both of its bytes; 0 outside every chunk. *)
+
 val note : t -> string -> string option
 (** Look up a metadata note by key. *)
 

@@ -125,11 +125,6 @@ let exec_reti t =
   Registers.set t.regs Registers.sr sr;
   Registers.set_pc t.regs pc
 
-(* Where fetch found each extension word: the source's right after
-   the opcode word, the destination's after the source's. *)
-let dst_ext_addr ~pc width src =
-  pc + 2 + if Encode.src_needs_ext width src then 2 else 0
-
 let step t =
   let pc0 = Registers.get_pc t.regs in
   let fetch a = t.bus.read Afetch Word.W16 a in
@@ -137,8 +132,10 @@ let step t =
   Registers.set_pc t.regs (pc0 + len);
   (match instr with
   | Opcode.Fmt1 (op, width, src, dst) ->
+    (* the source's extension word follows the opcode word; the
+       destination's, when it has one, is the instruction's last *)
     exec_fmt1 t op width src dst ~src_ext_addr:(pc0 + 2)
-      ~dst_ext_addr:(dst_ext_addr ~pc:pc0 width src)
+      ~dst_ext_addr:(pc0 + len - 2)
   | Opcode.Fmt2 (op, width, src) ->
     exec_fmt2 t op width src ~src_ext_addr:(pc0 + 2)
   | Opcode.Jump (c, off) ->
@@ -367,7 +364,7 @@ let compile ~pc ~len instr =
   match instr with
   | Opcode.Fmt1 (op, width, src, dst) ->
     compile_fmt1 op width src dst ~next ~src_ext:(pc + 2)
-      ~dst_ext:(dst_ext_addr ~pc width src)
+      ~dst_ext:(pc + len - 2)
   | Opcode.Fmt2 (op, width, src) -> compile_fmt2 op width src ~next ~ext:(pc + 2)
   | Opcode.Jump (c, off) ->
     compile_jump c ~next ~target:((pc + 2 + (2 * off)) land 0xFFFF)

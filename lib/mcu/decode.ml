@@ -16,8 +16,6 @@ let cond_of_code = function
   | 0 -> JNE | 1 -> JEQ | 2 -> JNC | 3 -> JC | 4 -> JN | 5 -> JGE
   | 6 -> JL | _ -> JMP
 
-let signed16 w = if w land 0x8000 <> 0 then w - 0x10000 else w
-
 (* Decode the source field.  Returns the operand and whether an
    extension word was consumed. *)
 let decode_src width ~reg ~abits ~ext =
@@ -31,7 +29,7 @@ let decode_src width ~reg ~abits ~ext =
   | 2, 1 -> (S_absolute (ext ()), true)
   | 0, 3 -> (S_immediate (ext ()), true)
   | r, 0 -> (S_reg r, false)
-  | r, 1 -> (S_indexed (r, signed16 (ext ())), true)
+  | r, 1 -> (S_indexed (r, Word.to_signed Word.W16 (ext ())), true)
   | r, 2 -> (S_indirect r, false)
   | r, _ -> (S_indirect_inc r, false)
 
@@ -39,7 +37,7 @@ let decode_dst ~reg ~adbit ~ext =
   match (reg, adbit) with
   | r, 0 -> (D_reg r, false)
   | 2, _ -> (D_absolute (ext ()), true)
-  | r, _ -> (D_indexed (r, signed16 (ext ())), true)
+  | r, _ -> (D_indexed (r, Word.to_signed Word.W16 (ext ())), true)
 
 let decode ~fetch ~addr =
   let word0 = fetch addr in

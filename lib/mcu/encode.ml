@@ -72,10 +72,6 @@ let encode_dst = function
     (r, 1, Some (x land 0xFFFF))
   | D_absolute a -> (2, 1, Some (a land 0xFFFF))
 
-let src_needs_ext width s =
-  let _, _, ext = encode_src width s in
-  ext <> None
-
 let bw_bit = function Word.W8 -> 1 | Word.W16 -> 0
 
 let encode ?(no_cg_imm = false) instr =

@@ -20,4 +20,3 @@ val encode : ?no_cg_imm:bool -> Opcode.t -> int list
 val length_bytes : ?no_cg_imm:bool -> Opcode.t -> int
 (** Encoded size in bytes without materializing the words. *)
 
-val src_needs_ext : Word.width -> Opcode.src -> bool

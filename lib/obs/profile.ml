@@ -90,7 +90,7 @@ let create (fw : Amulet_aft.Aft.firmware) =
   | Some b, Some e -> paint t b e Guard
   | _ -> ());
   (* the boot stub is kernel bookkeeping, not a gate crossing *)
-  (match (sym "__os_start", sym "__osreturn") with
+  (match (sym "__os_start", sym Iso.osreturn_label) with
   | Some b, Some e when e > b -> paint t b e Kernel
   | _ -> ());
   (* each app: code, then its fault stubs (guard machinery) and exit
@@ -103,7 +103,7 @@ let create (fw : Amulet_aft.Aft.firmware) =
       with
       | Some stubs -> paint t stubs code_end Guard
       | None -> ());
-      match sym (Amulet_aft.Stubs.exit_label a.Layout.name) with
+      match sym (Iso.exit_label ~prefix:a.Layout.name) with
       | Some ex -> paint t ex code_end Os_gate
       | None -> ())
     layout.Layout.apps;

@@ -87,7 +87,7 @@ let predict m (i : O.t) ~pc0 =
   match i with
   | O.Fmt1 (op, w, src, dst) ->
     let src_ext = pc0 + 2 in
-    let dst_ext = pc0 + 2 + (if Encode.src_needs_ext w src then 2 else 0) in
+    let dst_ext = fall - 2 in
     let sload =
       match src_addr regs ~ext_addr:src_ext src with
       | Some a -> [ (a, w) ]

@@ -5,24 +5,7 @@ module Word = Amulet_mcu.Word
 
 type target = Regs | Fram of { lo : int; hi : int } | Mpu_config
 
-(* splitmix64: one multiply-shift-xor chain per draw.  Deliberately
-   not [Random]: the schedule must be identical across OCaml versions
-   and across domains running cells in parallel. *)
-let mix (s : int64) =
-  let open Int64 in
-  let z = add s 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-type rng = { mutable state : int64 }
-
-let rng_create seed = { state = Int64.of_int seed }
-
-let draw rng bound =
-  rng.state <- Int64.add rng.state 0x9E3779B97F4A7C15L;
-  let z = mix rng.state in
-  Int64.to_int (Int64.shift_right_logical z 2) mod bound
+module Rng = Amulet_fleet_core.Scenario.Rng
 
 (* One scheduled upset, fully determined at planning time. *)
 type flip =
@@ -36,17 +19,18 @@ let mpu_regs =
   [| Mpu.Raw_ctl0; Mpu.Raw_ctl1; Mpu.Raw_segb1; Mpu.Raw_segb2; Mpu.Raw_sam |]
 
 let plan ~seed ~flips ~window:(lo, hi) target =
-  let rng = rng_create seed in
+  let rng = Rng.create seed in
   let span = max 1 (hi - lo) in
   let one () =
-    let step = lo + draw rng span in
+    let step = lo + Rng.draw rng span in
     let f =
       match target with
-      | Regs -> F_reg { reg = 4 + draw rng 12; bit = draw rng 16 }
+      | Regs -> F_reg { reg = 4 + Rng.draw rng 12; bit = Rng.draw rng 16 }
       | Fram { lo; hi } ->
-        F_byte { addr = lo + draw rng (max 1 (hi - lo)); bit = draw rng 8 }
+        F_byte
+          { addr = lo + Rng.draw rng (max 1 (hi - lo)); bit = Rng.draw rng 8 }
       | Mpu_config ->
-        F_mpu { reg = mpu_regs.(draw rng 5); bit = draw rng 16 }
+        F_mpu { reg = mpu_regs.(Rng.draw rng 5); bit = Rng.draw rng 16 }
     in
     (step, f)
   in

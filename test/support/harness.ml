@@ -32,11 +32,12 @@ let build ?(mode = Cc.Isolation.No_isolation) ?(shadow = false) src =
     Cc.Driver.compile ~prefix:"prog" ~mode ~shadow
       ~analyze:Amulet_analysis.Range.analyze src
   in
+  let exit_label = Cc.Isolation.exit_label ~prefix:"prog" in
   let exit_stub =
     [
-      A.label "prog$$exit";
+      A.label exit_label;
       A.mov (A.imm 1) (A.Dabs (A.Num M.halt_port));
-      A.jmp "prog$$exit";
+      A.jmp exit_label;
     ]
   in
   let uses_own_stack = Cc.Isolation.separate_stacks mode in
@@ -71,7 +72,7 @@ let build ?(mode = Cc.Isolation.No_isolation) ?(shadow = false) src =
            A.mov (A.imm 0xA501) (A.Dabs (A.Num Mpu.ctl0_addr));
          ]
        else [])
-    @ [ A.push (A.sym "prog$$exit"); A.br (A.Sym "prog$main") ]
+    @ [ A.push (A.sym exit_label); A.br (A.Sym "prog$main") ]
   in
   let data_items =
     if uses_own_stack then

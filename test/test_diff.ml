@@ -646,6 +646,28 @@ let form_lockstep =
       compare_machines ~insn:fast.M.cpu.Cpu.insns fast slow;
       true)
 
+(* A long-form immediate of a constant-generator value still carries
+   an extension word, so the destination's extension word is the
+   instruction's last: [MOV #1, 0x20(PC)] at [form_base] stores to
+   [form_base + 4 + 0x20] on both engines. *)
+let long_immediate_dst_ext () =
+  let c =
+    {
+      fc_insns =
+        [ (Op.Fmt1 (Op.MOV, W.W16, Op.S_immediate 1, Op.D_indexed (0, 0x20)),
+           true) ];
+      fc_regs = Array.init 15 (fun i -> if i = 0 then 0x2000 else 0);
+      fc_mem_seed = 0;
+      fc_mpu = None;
+    }
+  in
+  let fast = form_machine c and slow = form_machine c in
+  M.add_step_hook slow (fun _ -> ());
+  Alcotest.(check string) "stop reason" (form_outcome slow) (form_outcome fast);
+  compare_machines ~insn:fast.M.cpu.Cpu.insns fast slow;
+  Alcotest.(check int) "stored at the extension word + 0x20" 1
+    (M.mem_checked_read fast W.W16 (form_base + 0x24))
+
 (* Attack-corpus lockstep: every corpus attack that builds, under
    every isolation mode, dispatched on two kernels over the same
    firmware — one hooks-off (predecoded engine), one with a no-op
@@ -782,5 +804,7 @@ let () =
             Alcotest.test_case "mid-block MPU enable splits an instruction"
               `Quick midblock_straddle;
             to_alcotest form_lockstep;
+            Alcotest.test_case "long-form immediate, indexed destination"
+              `Quick long_immediate_dst_ext;
           ] );
     ]

@@ -260,7 +260,7 @@ let test_lint_suite_clean () =
   let specs = List.map (Suite.spec_for mode) Suite.all in
   let fw = Aft.build ~mode specs in
   let image = fw.Aft.fw_image in
-  let r = An.Lint.run ~image ~mode ~apps:(An.Lint.apps_of image) in
+  let r = An.Lint.run ~image ~mode ~apps:(An.Section.apps image) in
   Alcotest.(check int) "no errors" 0 r.An.Lint.l_errors;
   Alcotest.(check int)
     "one report per app"
@@ -273,7 +273,7 @@ let test_lint_zero_apps () =
   let mode = Iso.Mpu_assisted in
   let fw = Aft.build ~mode [] in
   let image = fw.Aft.fw_image in
-  Alcotest.(check (list string)) "no apps detected" [] (An.Lint.apps_of image);
+  Alcotest.(check (list string)) "no apps detected" [] (An.Section.apps image);
   let r = An.Lint.run ~image ~mode ~apps:[] in
   Alcotest.(check int) "one error" 1 r.An.Lint.l_errors;
   match r.An.Lint.l_diags with
@@ -307,7 +307,7 @@ let test_lint_stamp_matches_report () =
     (fun mode ->
       let specs = List.map (Suite.spec_for mode) Suite.all in
       let image = (Aft.build ~mode specs).Aft.fw_image in
-      let r = An.Lint.run ~image ~mode ~apps:(An.Lint.apps_of image) in
+      let r = An.Lint.run ~image ~mode ~apps:(An.Section.apps image) in
       Alcotest.(check int) "one report per app" (List.length specs)
         (List.length r.An.Lint.l_apps);
       List.iter
@@ -408,8 +408,123 @@ let test_objdump_cfg () =
     (contains out "blink_counter$handle_timer");
   Alcotest.(check bool) "shows cycle counts" true (contains out "cycles")
 
+(* ------------------------------------------------------------------ *)
+(* The symbol contract: the stack bytes the toolchain declares for its
+   helpers and gates match the code they describe, and every direct
+   call in a built image resolves to a declared kind. *)
+
+module A = Amulet_link.Asm
+module Op = Amulet_mcu.Opcode
+module Rt = Amulet_cc.Runtime
+module Apis = Amulet_cc.Apis
+
+(* The instructions from [label] up to the first RET (or to the end). *)
+let body_of items label =
+  let rec from = function
+    | [] -> Alcotest.failf "no label %s" label
+    | A.Label l :: rest when l = label -> rest
+    | _ :: rest -> from rest
+  in
+  let rec upto acc = function
+    | [] -> List.rev acc
+    | A.Ins (A.I1 (Op.MOV, _, A.Sinc 1, A.Dreg 0)) :: _ -> List.rev acc
+    | A.Ins i :: rest -> upto (i :: acc) rest
+    | _ :: rest -> upto acc rest
+  in
+  upto [] (from items)
+
+(* Return address, plus the deepest point of the helper's own pushes
+   and nested calls. *)
+let rec derived_bytes label =
+  let deepest, _ =
+    List.fold_left
+      (fun (deepest, depth) i ->
+        match i with
+        | A.I2 (Op.PUSH, _, _) -> (max deepest (depth + 2), depth + 2)
+        | A.I1 (Op.MOV, _, A.Sinc 1, _) -> (deepest, depth - 2)
+        | A.I2 (Op.CALL, _, A.Simm (A.Sym callee)) ->
+          (max deepest (depth + derived_bytes callee), depth)
+        | _ -> (deepest, depth))
+      (0, 0) (body_of Rt.items label)
+  in
+  2 + deepest
+
+let test_helper_bytes_match_code () =
+  List.iter
+    (fun (h : Rt.helper) ->
+      Alcotest.(check int) h.Rt.name (derived_bytes h.Rt.name) h.Rt.stack_bytes)
+    Rt.helpers
+
+(* The gate's pushes happen before it writes SP or calls the host. *)
+let test_gate_bytes_match_code () =
+  List.iter
+    (fun mode ->
+      let items =
+        Amulet_aft.Stubs.gates ~mode ~os_cfg:Amulet_aft.Stubs.placeholder_cfg
+      in
+      let rec pushes = function
+        | [] -> 0
+        | A.I2 (Op.PUSH, _, _) :: rest -> 2 + pushes rest
+        | A.I1 (_, _, _, A.Dreg 1) :: _ -> 0
+        | A.I1 (_, _, _, A.Dabs (A.Num p)) :: _
+          when p = Amulet_mcu.Machine.host_call_port ->
+          0
+        | _ :: rest -> pushes rest
+      in
+      Array.iter
+        (fun (e : Apis.entry) ->
+          Alcotest.(check int)
+            (Iso.name mode ^ " " ^ e.Apis.name)
+            (2 + pushes (body_of items (Apis.gate_label e.Apis.name)))
+            Apis.gate_stack_bytes)
+        Apis.table)
+    modes
+
+let test_calls_resolve () =
+  let check what cfg (i : An.Cfi.insn) =
+    match (i.An.Cfi.i_op, An.Cfi.call_target cfg i.An.Cfi.i_op) with
+    | ( Op.Fmt2 (Op.CALL, _, Op.S_immediate _),
+        Some
+          ( An.Cfi.C_local _
+          | An.Cfi.C_extern (_, (An.Section.Helper _ | An.Section.Gate _)) ) )
+      ->
+      ()
+    | Op.Fmt2 (Op.CALL, _, Op.S_immediate k), _ ->
+      Alcotest.failf "%s: call to %04X at %04X is unclassified" what k
+        i.An.Cfi.i_addr
+    | _ -> ()
+  in
+  List.iter
+    (fun mode ->
+      let specs = List.map (Suite.spec_for mode) Suite.all in
+      let image = (Aft.build ~mode specs).Aft.fw_image in
+      List.iter
+        (fun (spec : Aft.app_spec) ->
+          let what = Iso.name mode ^ "/" ^ spec.name in
+          match An.Cfi.reconstruct ~image ~mode ~prefix:spec.name with
+          | Error _ -> Alcotest.failf "%s: CFI rejected" what
+          | Ok cfg ->
+            List.iter
+              (fun (f : An.Cfi.func) ->
+                List.iter
+                  (fun (b : An.Cfi.block) ->
+                    List.iter (check what cfg) b.An.Cfi.b_insns)
+                  f.An.Cfi.f_blocks)
+              (An.Cfi.functions cfg))
+        specs)
+    modes
+
 let suite =
   [
+    ( "contract",
+      [
+        Alcotest.test_case "helper stack bytes match their code" `Quick
+          test_helper_bytes_match_code;
+        Alcotest.test_case "gate stack bytes match its code" `Quick
+          test_gate_bytes_match_code;
+        Alcotest.test_case "every direct call resolves" `Quick
+          test_calls_resolve;
+      ] );
     ( "cfi",
       [
         Alcotest.test_case "accepts harness programs" `Quick

@@ -60,17 +60,6 @@ let test_accepts_no_elide mode () =
 (* ------------------------------------------------------------------ *)
 (* Rejection of a tampered image *)
 
-let fetch_of (image : I.t) a =
-  let rec go = function
-    | [] -> 0
-    | (base, b) :: rest ->
-      if a >= base && a + 1 < base + Bytes.length b then
-        Char.code (Bytes.get b (a - base))
-        lor (Char.code (Bytes.get b (a - base + 1)) lsl 8)
-      else go rest
-  in
-  go image.I.chunks
-
 let poke (image : I.t) a v =
   List.iter
     (fun (base, b) ->
@@ -88,7 +77,7 @@ let corrupt_guard (image : I.t) ~prefix =
   let code_lo = I.symbol image (Iso.code_lo_sym ~prefix) in
   let code_hi = I.symbol image (Iso.code_hi_sym ~prefix) in
   let data_lo = I.symbol image (Iso.data_lo_sym ~prefix) in
-  let fetch = fetch_of image in
+  let fetch = I.word image in
   let rec scan a =
     if a >= code_hi then None
     else
@@ -133,6 +122,42 @@ let test_unknown_prefix () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for an unknown prefix"
+
+(* A store through a negative index off a guard-refined register: the
+   guards confine R5 to [data_lo + 2, data_hi), so [-2(R5)] stays in
+   [data_lo, data_hi - 2).  Hand-assembled, since the compiler's own
+   accesses use non-negative offsets. *)
+let test_negative_index () =
+  let module A = Amulet_link.Asm in
+  let module L = Amulet_link.Linker in
+  let prefix = "t" in
+  let fail = "t$$fail" in
+  let code =
+    [
+      A.label (Iso.mangle ~prefix "main");
+      A.cmp (A.Simm (A.Off (Iso.data_lo_sym ~prefix, 2))) (A.Dreg 5);
+      A.jcc O.JNC fail;
+      A.cmp (A.Simm (A.Sym (Iso.data_hi_sym ~prefix))) (A.Dreg 5);
+      A.jcc O.JC fail;
+      A.mov (A.imm 0) (A.Didx (5, A.Num (-2)));
+      A.label fail;
+      A.mov (A.imm 1) (A.Dabs (A.Num Amulet_mcu.Machine.halt_port));
+      A.jmp fail;
+    ]
+  in
+  let image =
+    L.link ~entry:(Iso.mangle ~prefix "main")
+      [
+        { L.name = Iso.code_section ~prefix; base = 0x8000; items = code };
+        { L.name = Iso.data_section ~prefix; base = 0xA000;
+          items = [ A.Space 16 ] };
+      ]
+  in
+  match V.verify_app ~image ~mode:Iso.Software_only ~prefix with
+  | Ok st -> Alcotest.(check int) "store proved" 1 st.V.v_stores
+  | Error vs ->
+    Alcotest.failf "rejected: %s"
+      (String.concat "; " (List.map (Format.asprintf "%a" V.pp_violation) vs))
 
 (* ------------------------------------------------------------------ *)
 (* CLI: a firmware with zero app sections must fail, not pass
@@ -180,6 +205,11 @@ let () =
             (test_rejects_corrupt Iso.Software_only);
           Alcotest.test_case "corrupted guard (mpu)" `Quick
             (test_rejects_corrupt Iso.Mpu_assisted);
+        ] );
+      ( "offsets",
+        [
+          Alcotest.test_case "negative index off a guarded base" `Quick
+            test_negative_index;
         ] );
       ( "stats",
         [
