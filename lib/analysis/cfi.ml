@@ -22,8 +22,10 @@
    - [RET] must be dominated by the return-address guard (or the
      shadow-stack compare) in the modes that require one;
    - any other instruction that writes the PC is a computed jump and
-     is rejected outright — the class of transfer the interval-based
-     SFI verifier cannot classify. *)
+     is rejected outright.
+
+   The SFI verifier keeps none of these rules: it runs over the graph
+   built here. *)
 
 module O = Amulet_mcu.Opcode
 module D = Amulet_mcu.Decode

@@ -16,9 +16,10 @@
       rejected with the offending instruction as witness.
 
     The resulting CFG carries per-block cycle counts (for
-    [amulet objdump --cfg]) and is the substrate for the binary
-    stack-bound ({!Stackcert}) and gate-provenance ({!Gate_taint})
-    passes. *)
+    [amulet objdump --cfg]) and is the one graph every later binary
+    pass reads: the SFI verifier ({!Verifier}), the stack bound
+    ({!Stackcert}), gate provenance ({!Gate_taint}) and the WCET bound
+    ({!Wcet}). *)
 
 type violation = {
   cv_addr : int;  (** address of the offending instruction *)

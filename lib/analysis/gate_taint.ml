@@ -193,7 +193,7 @@ let certify_arg (cfg : Cfi.t) stack fname regs (p : Apis.pointer) =
         (* FP = entry SP - 2 (saved FP), and the entry SP sits between
            [stack_top - entry_max] and [stack_top - trampoline] *)
         let fp_min = top - em - 2
-        and fp_max = top - Stackcert.trampoline_bytes - 2 in
+        and fp_max = top - Iso.tramp_stack_bytes - 2 in
         if fp_min + dl >= data_lo && fp_max + dh + ext <= data_hi
         then
           ( true,

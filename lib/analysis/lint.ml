@@ -1,19 +1,21 @@
 (* Whole-image static certifier.
 
-   Runs every analysis this library offers — the SFI verifier, CFI
-   reconstruction, the binary stack bound, gate-argument provenance
-   and the WCET bound — over each app code section of a linked
-   firmware image and folds the outcomes into one diagnostic report
-   (rendered human-readable or as JSON by [amulet lint]).
+   Runs every analysis this library offers — CFI reconstruction, the
+   SFI verifier, the binary stack bound, gate-argument provenance and
+   the WCET bound — over each app code section of a linked firmware
+   image and folds the outcomes into one diagnostic report (rendered
+   human-readable or as JSON by [amulet lint]).
 
    This module is the only place that orders the binary passes, as
-   two chains:
+   two chains.  Both start from the one CFG that CFI reconstructs per
+   app; every later pass reads that graph and none decodes the
+   section again.
 
-   - gates: SFI ∧ CFI → Stackcert → Gate_taint.  Its verdict is the
+   - gates: CFI → SFI → Stackcert → Gate_taint.  Its verdict is the
      list of services whose dynamic gate-pointer validation the kernel
      may elide for an app.  That elision is sound only when the code
-     the analyses looked at is the code that runs, so it requires a
-     passing SFI verdict, the CFI proof and a mode that keeps app code
+     the analyses looked at is the code that runs, so it requires the
+     CFI proof, a passing SFI verdict and a mode that keeps app code
      immutable (everything except No_isolation, where an unchecked
      wild store could rewrite the certified instructions).
    - wcet: CFI → Wcet, run on the image the AFT finished stamping (the
@@ -37,7 +39,8 @@ type diag = {
 
 type app_report = {
   r_app : string;
-  r_sfi : (Verifier.stats, Verifier.violation list) result;
+  r_sfi : (Verifier.stats, Verifier.violation list) result option;
+      (** None when CFI failed *)
   r_cfi : (Cfi.t, Cfi.violation list) result;
   r_stack : Stackcert.verdict option;  (** None when CFI failed *)
   r_gates : Gate_taint.t option;
@@ -56,7 +59,7 @@ type report = {
 let severity_name = function Note -> "note" | Warn -> "warning" | Error -> "error"
 
 type gates_chain = {
-  g_sfi : (Verifier.stats, Verifier.violation list) result Lazy.t;
+  g_sfi : (Verifier.stats, Verifier.violation list) result option Lazy.t;
   g_cfi : (Cfi.t, Cfi.violation list) result Lazy.t;
   g_stack : Stackcert.t option Lazy.t;
   g_gates : Gate_taint.t option Lazy.t;
@@ -66,8 +69,13 @@ type gates_chain = {
 (* Each stage runs when first forced: certification stops at the first
    missing piece of evidence, while the lint report forces them all. *)
 let gates_chain ~image ~mode ~prefix =
-  let sfi = lazy (Verifier.verify_app ~image ~mode ~prefix) in
   let cfi = lazy (Cfi.reconstruct ~image ~mode ~prefix) in
+  let sfi =
+    lazy
+      (match Lazy.force cfi with
+      | Ok cfg -> Some (Verifier.verify ~cfg)
+      | Error _ -> None)
+  in
   let stack =
     lazy
       (match Lazy.force cfi with
@@ -84,8 +92,8 @@ let gates_chain ~image ~mode ~prefix =
     lazy
       (if mode = Iso.No_isolation then []
        else
-         match (Lazy.force sfi, Lazy.force cfi) with
-         | Ok _, Ok _ -> (
+         match Lazy.force sfi with
+         | Some (Ok _) -> (
            match Lazy.force gates with
            | Some gt -> gt.Gate_taint.gt_certified
            | None -> [])
@@ -119,10 +127,11 @@ let lint_app ~image ~mode prefix =
       :: !diags
   in
   (match sfi with
-  | Ok st ->
+  | None -> ()
+  | Some (Ok st) ->
     diag "sfi" Note
       (Format.asprintf "verified: %a" Verifier.pp_stats st)
-  | Error vs ->
+  | Some (Error vs) ->
     List.iter
       (fun (v : Verifier.violation) ->
         diag ~addr:v.Verifier.vaddr "sfi" Error

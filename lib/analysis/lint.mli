@@ -1,5 +1,5 @@
-(** Whole-image static certifier: runs the SFI verifier, CFI
-    reconstruction, the binary stack bound ({!Stackcert}),
+(** Whole-image static certifier: runs CFI reconstruction, the SFI
+    verifier, the binary stack bound ({!Stackcert}),
     gate-argument provenance ({!Gate_taint}) and the WCET bound
     ({!Wcet}) over every app section of a linked firmware and folds
     the outcomes into one diagnostic report.  [amulet lint] renders
@@ -7,8 +7,9 @@
     notes into the image.
 
     This is the only module that orders the binary passes.  They run
-    as two chains: {!gates_chain} (SFI ∧ CFI → Stackcert → Gate_taint)
-    and {!wcet_chain} (CFI → Wcet). *)
+    as two chains over the one CFG {!Cfi} reconstructs per app:
+    {!gates_chain} (CFI → SFI → Stackcert → Gate_taint) and
+    {!wcet_chain} (CFI → Wcet). *)
 
 type severity = Note | Warn | Error
 
@@ -24,7 +25,8 @@ type diag = {
 
 type app_report = {
   r_app : string;
-  r_sfi : (Verifier.stats, Verifier.violation list) result;
+  r_sfi : (Verifier.stats, Verifier.violation list) result option;
+      (** [None] when CFI failed *)
   r_cfi : (Cfi.t, Cfi.violation list) result;
   r_stack : Stackcert.verdict option;  (** [None] when CFI failed *)
   r_gates : Gate_taint.t option;
@@ -54,13 +56,14 @@ val run :
 (** The gates chain for one app.  Each stage runs when first forced
     and forces the stages it depends on. *)
 type gates_chain = {
-  g_sfi : (Verifier.stats, Verifier.violation list) result Lazy.t;
+  g_sfi : (Verifier.stats, Verifier.violation list) result option Lazy.t;
+      (** [None] when CFI failed *)
   g_cfi : (Cfi.t, Cfi.violation list) result Lazy.t;
   g_stack : Stackcert.t option Lazy.t;  (** [None] when CFI failed *)
   g_gates : Gate_taint.t option Lazy.t;  (** [None] when CFI failed *)
   g_certified : string list Lazy.t;
       (** the chain's verdict: empty under [No_isolation] without
-          running any pass, empty when SFI or CFI fails, else the
+          running any pass, empty when CFI or SFI fails, else the
           gate pass's [gt_certified] *)
 }
 

@@ -6,7 +6,7 @@
     {!Amulet_cc.Isolation} for sections, functions and dispatch stubs,
     {!Amulet_cc.Runtime} for helpers, {!Amulet_cc.Apis} for gates.
     This module is the one place that reads them back, and
-    {!Verifier}, {!Cfi} and the passes over the CFG read its result
+    {!Cfi} reads its result and carries it to every pass over the CFG
     instead of matching symbol names. *)
 
 (** What an app may call or branch to outside its own section. *)

@@ -40,10 +40,6 @@ type t = {
           address — the quantity that bounds FP from below *)
 }
 
-(* Trampoline cost on the app stack before the handler runs: it pushes
-   the event argument's saved R12 and the exit-label return address. *)
-let trampoline_bytes = 4
-
 exception Unanalyzable_sp of int * string
 
 (* ------------------------------------------------------------------ *)
@@ -211,8 +207,8 @@ let analyze ~(cfg : Cfi.t) =
       (fun acc (f : Cfi.func) ->
         let d, chain = wcs [] f.Cfi.f_name in
         match acc with
-        | Some (best, _) when best >= trampoline_bytes + d -> acc
-        | _ -> Some (trampoline_bytes + d, chain))
+        | Some (best, _) when best >= Iso.tramp_stack_bytes + d -> acc
+        | _ -> Some (Iso.tramp_stack_bytes + d, chain))
       None roots
   in
   (* deepest possible entry depth per function (below the dispatch
@@ -242,7 +238,7 @@ let analyze ~(cfg : Cfi.t) =
             l.l_sites
     in
     List.iter
-      (fun (f : Cfi.func) -> push f.Cfi.f_name trampoline_bytes)
+      (fun (f : Cfi.func) -> push f.Cfi.f_name Iso.tramp_stack_bytes)
       roots;
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort compare

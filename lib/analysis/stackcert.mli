@@ -24,8 +24,6 @@ type t = {
           below; used by the gate-provenance pass *)
 }
 
-val trampoline_bytes : int
-
 val analyze : cfg:Cfi.t -> t
 (** @raise Invalid_argument when a separate-stack image lacks the
     [stack_top] symbol for the app. *)

@@ -1,18 +1,18 @@
 (* Independent SFI verifier: abstract interpretation of a linked app
-   code section over unsigned 16-bit intervals.  See verifier.mli for
-   the policy and DESIGN.md for the soundness/TCB discussion.
+   code section over unsigned 16-bit intervals, run over the
+   control-flow graph {!Cfi} reconstructed and certified.  See
+   verifier.mli for the policy and DESIGN.md for the soundness/TCB
+   discussion.
 
    The verifier shares no code with the compiler's check insertion: it
-   reuses only the instruction decoder, the linker's symbol table and
-   the section-naming convention, so a bug in codegen or in the range
-   analysis cannot silently produce an accepted-but-unsafe image. *)
+   reads only the CFI graph and the section view of the linker's
+   symbol table, so a bug in codegen or in the range analysis cannot
+   silently produce an accepted-but-unsafe image. *)
 
-module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module W = Amulet_mcu.Word
 module M = Amulet_mcu.Machine
 module T = Amulet_mcu.Timer
-module D = Amulet_mcu.Decode
 module Iso = Amulet_cc.Isolation
 
 type violation = { vaddr : int; vtext : string; vreason : string }
@@ -72,10 +72,8 @@ let av_and a b =
   | Iv (_, h), _ | _, Iv (_, h) -> Iv (0, h)
   | _ -> Any
 
-(* dst AND NOT src: only clears bits *)
-let av_bic dst src =
-  ignore src;
-  match dst with Iv (_, h) -> Iv (0, h) | _ -> Any
+(* dst AND NOT src: only clears bits of dst *)
+let av_bic dst = match dst with Iv (_, h) -> Iv (0, h) | _ -> Any
 
 (* OR/XOR of values below 2^k stay below 2^k *)
 let pow2_mask h =
@@ -95,15 +93,9 @@ let av_xor a b =
   | Iv (_, h1), Iv (_, h2) -> Iv (0, pow2_mask (max h1 h2))
   | _ -> Any
 
-(* value written to a register by a byte-width operation *)
+(* a register value read at, or written by an operation of, byte
+   width: its low byte *)
 let byte_clamp w v =
-  match (w, v) with
-  | W.W16, _ -> v
-  | W.W8, Iv (l, h) when h <= 0xFF -> Iv (l, h)
-  | W.W8, _ -> Iv (0, 0xFF)
-
-(* low byte of a register read at byte width *)
-let byte_read w v =
   match (w, v) with
   | W.W16, _ -> v
   | W.W8, Iv (l, h) when h <= 0xFF -> Iv (l, h)
@@ -143,11 +135,7 @@ type cmp_src = Cs_iv of int * int | Cs_shadow
 (* ------------------------------------------------------------------ *)
 (* Verification context *)
 
-type ctx = {
-  mode : Iso.mode;
-  sec : Section.t;
-  bc_addr : int option;  (* __bounds_check, when linked *)
-}
+type ctx = { mode : Iso.mode; sec : Section.t }
 
 type recorder = {
   viols : (int * string, violation) Hashtbl.t;
@@ -187,23 +175,25 @@ let abs_load_ok ctx a =
 
 let bounds_of = function Iv (l, h) -> (l, h) | _ -> (0, 0xFFFF)
 
+let is_bounds_check ctx k =
+  match Hashtbl.find_opt ctx.sec.s_externs k with
+  | Some (Section.Helper h) -> h.Amulet_cc.Runtime.name = "__bounds_check"
+  | _ -> false
+
 (* ------------------------------------------------------------------ *)
-(* Single-trace interpreter.
+(* Block transfer.
 
-   Simulates straight-line code from [addr0] with entry state [st0]
-   until a control transfer, producing the successor edges (with
-   conditional-branch refinement applied) and any in-section call
-   targets.  With [recorder] set it also replays the policy checks and
-   records violations — used for the final pass over the fixpoint. *)
+   Simulates one CFG block from entry state [st0] and yields one state
+   per outgoing edge, with conditional-branch refinement applied and
+   infeasible edges dropped.  With [recorder] set it also replays the
+   policy checks and records violations — used for the final pass
+   over the fixpoint. *)
 
-let run ctx ?recorder st0 addr0 =
+let run ctx ?recorder st0 (b : Cfi.block) =
   let st = copy_state st0 in
   let last_cmp = ref None in
   let carry_clr = ref false in
   let prev1 = ref None and prev2 = ref None in
-  let succs = ref [] and calls = ref [] in
-  let addr = ref addr0 in
-  let stop = ref false in
   let viol a insn reason =
     if checked ctx then
       match recorder with
@@ -211,12 +201,7 @@ let run ctx ?recorder st0 addr0 =
       | Some r ->
         if not (Hashtbl.mem r.viols (a, reason)) then
           Hashtbl.replace r.viols (a, reason)
-            {
-              vaddr = a;
-              vtext =
-                (match insn with Some i -> O.to_string i | None -> "?");
-              vreason = reason;
-            }
+            { vaddr = a; vtext = O.to_string insn; vreason = reason }
   in
   let pass a kind =
     match recorder with
@@ -230,17 +215,18 @@ let run ctx ?recorder st0 addr0 =
     | Some (_, Cell_tos) -> last_cmp := None
     | _ -> ()
   in
+  (* a register write ends a comparison on that register; a write to
+     SR (R2) replaces the flags a CMP or the carry idiom left *)
   let set_reg r v =
     st.regs.(r) <- v;
     (match !last_cmp with
     | Some (_, Cell_reg r') when r' = r -> last_cmp := None
     | _ -> ());
+    if r = 2 then begin
+      last_cmp := None;
+      carry_clr := false
+    end;
     if r = 1 then kill_tos ()
-  in
-  let add_succ a insn t st' =
-    if t >= ctx.sec.s_code_lo && t < ctx.sec.s_code_hi then
-      succs := (t, st') :: !succs
-    else viol a insn "jump target outside the app code section"
   in
   (* dynamic memory access through a computed address *)
   let check_dyn a insn ~store v =
@@ -284,7 +270,7 @@ let run ctx ?recorder st0 addr0 =
       let k = k land 0xFFFF in
       let k = if w = W.W8 then k land 0xFF else k in
       Iv (k, k)
-    | O.S_reg r -> byte_read w st.regs.(r)
+    | O.S_reg r -> byte_clamp w st.regs.(r)
     | O.S_indexed (r, off) ->
       check_indexed a insn ~store:false r off;
       if w = W.W8 then Iv (0, 0xFF) else Any
@@ -308,7 +294,7 @@ let run ctx ?recorder st0 addr0 =
     | O.ADD -> av_add cur sav
     | O.SUB -> av_sub cur sav
     | O.AND -> av_and cur sav
-    | O.BIC -> av_bic cur sav
+    | O.BIC -> av_bic cur
     | O.BIS -> av_bis cur sav
     | O.XOR -> av_xor cur sav
     | O.ADDC | O.SUBC | O.DADD -> Any
@@ -348,203 +334,170 @@ let run ctx ?recorder st0 addr0 =
             | Cell_tos -> stc.tos <- Iv (l', h'));
             Some stc))
   in
-  while not !stop do
-    let a = !addr in
-    if a < ctx.sec.s_code_lo || a >= ctx.sec.s_code_hi then begin
-      viol a None "control runs past the end of the code section";
-      stop := true
-    end
-    else
-      match D.decode ~fetch:ctx.sec.s_fetch ~addr:a with
-      | exception D.Illegal w ->
-        viol a None (Printf.sprintf "undecodable word 0x%04X" w);
-        stop := true
-      | insn, size ->
-        (match recorder with
-        | Some r -> Hashtbl.replace r.visited a ()
-        | None -> ());
-        let ii = Some insn in
-        let next_cmp = ref None in
-        (match insn with
-        (* ---- control transfers ---- *)
-        | O.Jump (O.JMP, off) ->
-          add_succ a ii (a + 2 + (2 * off)) (copy_state st);
-          stop := true
-        | O.Jump (cond, off) ->
-          (match refine cond true with
-          | Some st' -> add_succ a ii (a + 2 + (2 * off)) st'
-          | None -> ());
-          (match refine cond false with
-          | Some st' -> add_succ a ii (a + size) st'
-          | None -> ());
-          stop := true
-        | O.Reti ->
-          viol a ii "RETI in application code";
-          stop := true
-        | O.Fmt1 (O.MOV, _, O.S_indirect_inc 1, O.D_reg 0) ->
-          (* RET: the return address must be proven by the epilogue
-             guard (or the shadow-stack comparison) in the modes whose
-             compiler inserts one *)
-          (if Iso.checks_lower_bound ctx.mode then
-             if st.tos_shadow then pass a 'r'
-             else if code_ok ctx (bounds_of st.tos) then pass a 'r'
-             else
-               viol a ii
-                 "return address not proven inside the app code section");
-          stop := true
-        | O.Fmt1 (O.MOV, _, O.S_immediate k, O.D_reg 0) ->
-          (* BR #addr *)
-          let k = k land 0xFFFF in
-          if k >= ctx.sec.s_code_lo && k < ctx.sec.s_code_hi then
-            add_succ a ii k (copy_state st)
-          else if not (Hashtbl.mem ctx.sec.s_externs k) then
-            viol a ii
-              (Printf.sprintf
-                 "branch to 0x%04X, outside the section and not a runtime \
-                  entry"
-                 k);
-          stop := true
-        | O.Fmt1 (_, _, _, O.D_reg 0) ->
-          (* any other PC write: the compiler never emits computed
-             branches (indirect control flow goes through CALL after a
-             code-bounds check), so reject them outright *)
-          viol a ii "computed branch in application code";
-          stop := true
-        (* ---- calls ---- *)
-        | O.Fmt2 (O.CALL, _, s) ->
-          (match s with
-          | O.S_immediate k ->
-            let k = k land 0xFFFF in
-            if k >= ctx.sec.s_code_lo && k < ctx.sec.s_code_hi then
-              calls := k :: !calls
-            else if not (Hashtbl.mem ctx.sec.s_externs k) then
-              viol a ii
-                (Printf.sprintf
-                   "call to 0x%04X, outside the section and not a runtime \
-                    entry"
-                   k)
-          | O.S_reg r ->
-            if ctx.mode = Iso.Feature_limited then
-              viol a ii "indirect call in a feature-limited image"
-            else if code_ok ctx (bounds_of st.regs.(r)) then pass a 'b'
-            else
-              viol a ii
-                "indirect call target not proven inside the app code section"
-          | _ -> viol a ii "indirect call through a memory operand");
-          (* refine the Feature-Limited array index certified by
-             __bounds_check: MOV Ri,R14; MOV #len,R15; CALL *)
-          let bc_refine =
-            match (s, ctx.bc_addr, !prev1, !prev2) with
-            | ( O.S_immediate k,
-                Some bc,
-                Some (O.Fmt1 (O.MOV, W.W16, O.S_immediate n, O.D_reg 15)),
-                Some (O.Fmt1 (O.MOV, W.W16, O.S_reg rs, O.D_reg 14)) )
-              when k land 0xFFFF = bc && n > 0 ->
-              Some (rs, n)
-            | _ -> None
-          in
-          (* caller-saved registers and the flags die across any call *)
-          for r = 12 to 15 do
-            set_reg r Any
-          done;
-          kill_tos ();
-          (match bc_refine with
-          | Some (rs, n) ->
+  List.iter
+    (fun (i : Cfi.insn) ->
+      let a = i.Cfi.i_addr and insn = i.Cfi.i_op in
+      (match recorder with
+      | Some r -> Hashtbl.replace r.visited a ()
+      | None -> ());
+      let next_cmp = ref None in
+      (match insn with
+      (* ---- control transfers: Cfi proved their targets; the
+         block's edges are followed below ---- *)
+      | O.Jump _ | O.Reti | O.Fmt1 (O.MOV, _, O.S_immediate _, O.D_reg 0) ->
+        ()
+      | O.Fmt1 (O.MOV, _, O.S_indirect_inc 1, O.D_reg 0) ->
+        (* RET: the return address must be proven by the epilogue
+           guard (or the shadow-stack comparison) in the modes whose
+           compiler inserts one *)
+        if Iso.checks_lower_bound ctx.mode then
+          if st.tos_shadow then pass a 'r'
+          else if code_ok ctx (bounds_of st.tos) then pass a 'r'
+          else
+            viol a insn "return address not proven inside the app code section"
+      (* ---- calls ---- *)
+      | O.Fmt2 (O.CALL, _, s) ->
+        (match s with
+        | O.S_reg r ->
+          if code_ok ctx (bounds_of st.regs.(r)) then pass a 'b'
+          else
+            viol a insn
+              "indirect call target not proven inside the app code section"
+        | _ -> ());
+        (* refine the Feature-Limited array index certified by
+           __bounds_check: MOV Ri,R14; MOV #len,R15; CALL *)
+        let bc_refine =
+          match (s, !prev1, !prev2) with
+          | ( O.S_immediate k,
+              Some (O.Fmt1 (O.MOV, W.W16, O.S_immediate n, O.D_reg 15)),
+              Some (O.Fmt1 (O.MOV, W.W16, O.S_reg rs, O.D_reg 14)) )
+            when is_bounds_check ctx (k land 0xFFFF) && n > 0 ->
+            Some (rs, n)
+          | _ -> None
+        in
+        (* caller-saved registers and the flags die across any call *)
+        for r = 12 to 15 do
+          set_reg r Any
+        done;
+        kill_tos ();
+        last_cmp := None;
+        carry_clr := false;
+        Option.iter
+          (fun (rs, n) ->
             set_reg rs (Iv (0, n - 1));
-            set_reg 14 (Iv (0, n - 1))
-          | None -> ());
-          carry_clr := false
-        (* ---- other single-operand ---- *)
-        | O.Fmt2 (O.PUSH, w, s) ->
-          ignore (src_av a ii w s);
-          kill_tos () (* SP moved *)
-        | O.Fmt2 ((O.RRA | O.RRC | O.SWPB | O.SXT) as op1, w, s) ->
-          (match s with
-          | O.S_reg r ->
+            set_reg 14 (Iv (0, n - 1)))
+          bc_refine
+      (* ---- other single-operand ---- *)
+      | O.Fmt2 (O.PUSH, w, s) ->
+        ignore (src_av a insn w s);
+        kill_tos () (* SP moved *)
+      | O.Fmt2 ((O.RRA | O.RRC | O.SWPB | O.SXT) as op1, w, s) ->
+        (match s with
+        | O.S_reg r ->
+          let v =
+            match (op1, st.regs.(r)) with
+            | O.RRA, Iv (l, h) when h <= 0x7FFF -> Iv (l lsr 1, h lsr 1)
+            | O.RRC, Iv (l, h) when !carry_clr -> Iv (l lsr 1, h lsr 1)
+            | _ -> Any
+          in
+          set_reg r (byte_clamp w v)
+        | O.S_indexed (r, off) -> check_indexed a insn ~store:true r off
+        | O.S_indirect r | O.S_indirect_inc r ->
+          check_indexed a insn ~store:true r 0
+        | O.S_absolute x -> check_abs a insn ~store:true x
+        | O.S_immediate _ -> viol a insn "single-operand op on an immediate");
+        (* SWPB alone leaves the flags *)
+        if op1 <> O.SWPB then last_cmp := None;
+        carry_clr := false
+      (* ---- two-operand ---- *)
+      | O.Fmt1 (op, w, s, d) ->
+        let sav = src_av a insn w s in
+        (match d with
+        | O.D_reg rd ->
+          if O.writes_back op then begin
             let v =
-              match (op1, st.regs.(r)) with
-              | O.RRA, Iv (l, h) when h <= 0x7FFF -> Iv (l lsr 1, h lsr 1)
-              | O.RRC, Iv (l, h) when !carry_clr -> Iv (l lsr 1, h lsr 1)
-              | _ -> Any
+              match (op, w, s, rd) with
+              (* frame-pointer discipline: only MOV SP->R4 / POP R4
+                 re-establish a trusted frame pointer *)
+              | O.MOV, W.W16, O.S_reg 1, 4 -> Frame
+              | O.MOV, W.W16, O.S_indirect_inc 1, 4 -> Frame
+              | _ -> byte_clamp w (transfer op st.regs.(rd) sav)
             in
-            set_reg r (byte_clamp w v)
-          | O.S_indexed (r, off) -> check_indexed a ii ~store:true r off
-          | O.S_indirect r | O.S_indirect_inc r ->
-            check_indexed a ii ~store:true r 0
-          | O.S_absolute x -> check_abs a ii ~store:true x
-          | O.S_immediate _ -> viol a ii "single-operand op on an immediate");
+            set_reg rd v
+          end
+        | O.D_indexed (rd, off) ->
+          check_indexed a insn ~store:(O.writes_back op) rd off;
+          if O.writes_back op then kill_tos ()
+        | O.D_absolute x ->
+          check_abs a insn ~store:(O.writes_back op) x;
+          if O.writes_back op then kill_tos ());
+        (* comparison bookkeeping for the following Jcc *)
+        (if op = O.CMP && w = W.W16 then
+           let ccell =
+             match d with
+             | O.D_reg r -> Some (Cell_reg r)
+             | O.D_indexed (1, 0) -> Some Cell_tos
+             | _ -> None
+           in
+           let csrc =
+             match s with
+             | O.S_immediate k -> Some (Cs_iv (k land 0xFFFF, k land 0xFFFF))
+             | O.S_reg rs -> (
+               match st.regs.(rs) with
+               | Iv (l, h) -> Some (Cs_iv (l, h))
+               | _ -> None)
+             | O.S_indirect rs when st.regs.(rs) = Shadow -> Some Cs_shadow
+             | _ -> None
+           in
+           match (ccell, csrc) with
+           | Some c, Some cs -> next_cmp := Some (cs, c)
+           | _ -> ());
+        if op = O.BIC && s = O.S_immediate 1 && d = O.D_reg 2 then
+          (* BIC #1,SR: the carry-clearing idiom before RRC *)
+          carry_clr := true
+        else if O.sets_flags op then begin
+          last_cmp := !next_cmp;
           carry_clr := false
-        (* ---- two-operand ---- *)
-        | O.Fmt1 (op, w, s, d) ->
-          let sav = src_av a ii w s in
-          (match d with
-          | O.D_reg rd ->
-            if O.writes_back op then begin
-              let v =
-                match (op, w, s, rd) with
-                (* frame-pointer discipline: only MOV SP->R4 / POP R4
-                   re-establish a trusted frame pointer *)
-                | O.MOV, W.W16, O.S_reg 1, 4 -> Frame
-                | O.MOV, W.W16, O.S_indirect_inc 1, 4 -> Frame
-                | _ -> byte_clamp w (transfer op st.regs.(rd) sav)
-              in
-              set_reg rd v
-            end
-          | O.D_indexed (rd, off) ->
-            check_indexed a ii ~store:(O.writes_back op) rd off;
-            if O.writes_back op then kill_tos ()
-          | O.D_absolute x ->
-            check_abs a ii ~store:(O.writes_back op) x;
-            if O.writes_back op then kill_tos ());
-          (* comparison bookkeeping for the following Jcc *)
-          (if op = O.CMP && w = W.W16 then
-             let ccell =
-               match d with
-               | O.D_reg r -> Some (Cell_reg r)
-               | O.D_indexed (1, 0) -> Some Cell_tos
-               | _ -> None
-             in
-             let csrc =
-               match s with
-               | O.S_immediate k -> Some (Cs_iv (k land 0xFFFF, k land 0xFFFF))
-               | O.S_reg rs -> (
-                 match st.regs.(rs) with
-                 | Iv (l, h) -> Some (Cs_iv (l, h))
-                 | _ -> None)
-               | O.S_indirect rs when st.regs.(rs) = Shadow -> Some Cs_shadow
-               | _ -> None
-             in
-             match (ccell, csrc) with
-             | Some c, Some cs -> next_cmp := Some (cs, c)
-             | _ -> ());
-          if op = O.BIC && s = O.S_immediate 1 && d = O.D_reg 2 then
-            (* BIC #1,SR: the carry-clearing idiom before RRC *)
-            carry_clr := true
-          else if O.sets_flags op then begin
-            last_cmp := !next_cmp;
-            carry_clr := false
-          end);
-        prev2 := !prev1;
-        prev1 := Some insn;
-        if not !stop then addr := a + size
-  done;
-  (!succs, !calls)
+        end);
+      prev2 := !prev1;
+      prev1 := Some insn)
+    b.Cfi.b_insns;
+  let edges =
+    List.filter_map
+      (fun (t, e) ->
+        let st' =
+          match (e, !prev1) with
+          | Cfi.E_taken, Some (O.Jump (cond, _)) -> refine cond true
+          | Cfi.E_fall, Some (O.Jump (cond, _)) -> refine cond false
+          | _ -> Some (copy_state st)
+        in
+        Option.map (fun st' -> (t, st')) st')
+      b.Cfi.b_succs
+  in
+  (* a BR into another span of the section (a fault stub) carries the
+     state along, as a jump within the span does *)
+  match Option.bind !prev1 Cfi.br_target with
+  | Some k
+    when b.Cfi.b_succs = [] && k >= ctx.sec.s_code_lo && k < ctx.sec.s_code_hi
+    ->
+    (k, copy_state st) :: edges
+  | _ -> edges
 
 (* ------------------------------------------------------------------ *)
 (* Whole-section verification *)
 
 let widen_limit = 8
 
-let verify_app ~(image : I.t) ~mode ~prefix =
-  let sec = Section.of_image image ~prefix in
-  let ctx =
-    {
-      mode;
-      sec;
-      bc_addr =
-        (try Some (I.symbol image "__bounds_check") with Not_found -> None);
-    }
-  in
+let verify ~(cfg : Cfi.t) =
+  let ctx = { mode = cfg.Cfi.cf_mode; sec = cfg.Cfi.cf_section } in
+  let block_of = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Cfi.func) ->
+      List.iter
+        (fun b -> Hashtbl.replace block_of b.Cfi.b_addr b)
+        f.Cfi.f_blocks)
+    cfg.Cfi.cf_funcs;
+  let blocks a f = Option.fold ~none:[] ~some:f (Hashtbl.find_opt block_of a) in
   (* external control can only enter an app at its functions or its
      exit stub; everything else is reached by edges.  A block that
      keeps changing past the widening limit restarts from the top
@@ -554,13 +507,11 @@ let verify_app ~(image : I.t) ~mode ~prefix =
       ~entries:
         (List.map
            (fun (e : Section.entry) -> (e.addr, top_state ()))
-           (sec.Section.s_functions @ Option.to_list sec.Section.s_exit))
+           (ctx.sec.s_functions @ Option.to_list ctx.sec.s_exit))
       ~join:state_join ~equal:state_equal
       ~widen:(fun _ ~count ~old:_ j ->
         if count > widen_limit then top_state () else j)
-      ~transfer:(fun a st ->
-        let succs, calls = run ctx st a in
-        succs @ List.map (fun t -> (t, top_state ())) calls)
+      ~transfer:(fun a st -> blocks a (run ctx st))
   in
   (* final pass: replay every reached block and record the verdicts *)
   let r =
@@ -570,9 +521,7 @@ let verify_app ~(image : I.t) ~mode ~prefix =
       passed = Hashtbl.create 64;
     }
   in
-  Hashtbl.iter
-    (fun a st -> ignore (run ctx ~recorder:r st a))
-    states;
+  Hashtbl.iter (fun a st -> ignore (blocks a (run ctx ~recorder:r st))) states;
   if Hashtbl.length r.viols = 0 then begin
     let count k =
       Hashtbl.fold (fun (_, k') () n -> if k' = k then n + 1 else n) r.passed 0

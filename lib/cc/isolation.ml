@@ -90,5 +90,6 @@ let is_fault_stub ~prefix sym =
   String.starts_with ~prefix:(stub_owner prefix ^ "$$fault") sym
 
 let tramp_label ~prefix = "__tramp_" ^ prefix
+let tramp_stack_bytes = 4
 let exit_label ~prefix = "__exit_" ^ prefix
 let osreturn_label = "__osreturn"

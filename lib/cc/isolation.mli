@@ -105,5 +105,11 @@ val is_fault_stub : prefix:string -> string -> bool
     section it returns to, and the OS return path that stub enters. *)
 
 val tramp_label : prefix:string -> string
+
+val tramp_stack_bytes : int
+(** App-stack bytes the trampoline pushes before it enters the
+    handler: the event argument (R12) and the exit-stub return
+    address. *)
+
 val exit_label : prefix:string -> string
 val osreturn_label : string

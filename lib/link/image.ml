@@ -23,6 +23,29 @@ let word t a =
   in
   go t.chunks
 
+let patch t ~addr words =
+  let n = 2 * List.length words in
+  let hit = ref false in
+  let chunks =
+    List.map
+      (fun (base, b) ->
+        if addr >= base && addr + n <= base + Bytes.length b then begin
+          hit := true;
+          let b = Bytes.copy b in
+          List.iteri
+            (fun i w ->
+              Bytes.set_uint16_le b (addr - base + (2 * i)) (w land 0xFFFF))
+            words;
+          (base, b)
+        end
+        else (base, b))
+      t.chunks
+  in
+  if not !hit then
+    invalid_arg
+      (Printf.sprintf "Image.patch: %04X+%d outside every chunk" addr n);
+  { t with chunks }
+
 let chunk_containing t addr =
   List.find_opt
     (fun (base, b) -> addr >= base && addr < base + Bytes.length b)

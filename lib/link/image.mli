@@ -18,6 +18,12 @@ val word : t -> int -> int
 (** [word t a] is the little-endian 16-bit word at [a], read from the
     chunk holding both of its bytes; 0 outside every chunk. *)
 
+val patch : t -> addr:int -> int list -> t
+(** [patch t ~addr words] is a copy of [t] with the little-endian
+    16-bit [words] written from [addr] on; [t] is left unchanged.
+    @raise Invalid_argument unless one chunk holds every patched
+    byte. *)
+
 val note : t -> string -> string option
 (** Look up a metadata note by key. *)
 

@@ -467,28 +467,23 @@ let build_source ~attack ~mode gen =
            attack.atk_name);
     Built { fw; attacker; victim = "victim"; targets }
 
-let patch_words image ~addr words =
-  let patched = ref false in
-  let chunks =
-    List.map
-      (fun (base, b) ->
-        if addr >= base && addr + (2 * List.length words) <= base + Bytes.length b
-        then begin
-          patched := true;
-          let b = Bytes.copy b in
-          List.iteri
-            (fun i w ->
-              let off = addr - base + (2 * i) in
-              Bytes.set b off (Char.chr (w land 0xFF));
-              Bytes.set b (off + 1) (Char.chr ((w lsr 8) land 0xFF)))
-            words;
-          (base, b)
-        end
-        else (base, b))
-      image.Image.chunks
+(* Zero the immediate of the first lower-bound guard comparison in the
+   app's code section: the binary equivalent of a compiler that forgot
+   (or was tricked out of) a bounds check.  The guard still executes
+   but now compares the pointer against 0. *)
+let corrupt_guard image ~prefix =
+  let sec = Amulet_analysis.Section.of_image image ~prefix in
+  let rec scan a =
+    if a >= sec.s_code_hi then None
+    else
+      match Amulet_mcu.Decode.decode ~fetch:sec.s_fetch ~addr:a with
+      | exception Amulet_mcu.Decode.Illegal _ -> scan (a + 2)
+      | O.Fmt1 (O.CMP, _, O.S_immediate k, O.D_reg r), _
+        when k land 0xFFFF = sec.s_data_lo && r >= 4 ->
+        Some (a, Image.patch image ~addr:(a + 2) [ 0 ])
+      | _, size -> scan (a + size)
   in
-  if not !patched then failwith "patch_words: address outside image chunks";
-  { image with Image.chunks }
+  scan sec.s_code_lo
 
 let build_binary ~attack ~mode payload =
   let attacker = "carrier" in
@@ -512,7 +507,7 @@ let build_binary ~attack ~mode payload =
     failwith
       (Printf.sprintf "%s: payload does not fit the carrier handler"
          attack.atk_name));
-  let image = patch_words fw.Aft.fw_image ~addr:haddr words in
+  let image = Image.patch fw.Aft.fw_image ~addr:haddr words in
   Built
     {
       fw = { fw with Aft.fw_image = image };

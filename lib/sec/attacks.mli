@@ -98,3 +98,13 @@ val build_cell : attack:t -> mode:Amulet_cc.Isolation.mode -> built
     (two-phase for source attacks) or compile-and-patch (binary
     attacks).  @raise Failure if a binary payload does not fit in the
     carrier's handler or the two source phases disagree on layout. *)
+
+val corrupt_guard :
+  Amulet_link.Image.t -> prefix:string -> (int * Amulet_link.Image.t) option
+(** The binary mutant [amulet verify --corrupt] demonstrates: a copy of
+    the image with the immediate of [prefix]'s first lower-bound guard
+    comparison ([CMP #data_lo, Rn]) zeroed, and that comparison's
+    address.  [None] when the code section holds no such guard (every
+    guard was elided).
+    @raise Invalid_argument when the image lacks [prefix]'s section
+    symbols. *)

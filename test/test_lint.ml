@@ -62,21 +62,6 @@ let test_cfi_shadow () =
 (* CFI rejects a patched-in computed jump with the instruction as
    witness *)
 
-let patch_word image addr w =
-  let chunks =
-    List.map
-      (fun (base, b) ->
-        if addr >= base && addr + 1 < base + Bytes.length b then begin
-          let b = Bytes.copy b in
-          Bytes.set b (addr - base) (Char.chr (w land 0xFF));
-          Bytes.set b (addr - base + 1) (Char.chr ((w lsr 8) land 0xFF));
-          (base, b)
-        end
-        else (base, b))
-      image.I.chunks
-  in
-  { image with I.chunks }
-
 let test_cfi_rejects_computed_jump () =
   let mode = Iso.Mpu_assisted in
   let _cu, image =
@@ -92,7 +77,7 @@ let test_cfi_rejects_computed_jump () =
             (Amulet_mcu.Opcode.MOV, Amulet_mcu.Word.W16,
              Amulet_mcu.Opcode.S_reg 5, Amulet_mcu.Opcode.D_reg 0)))
   in
-  let image = patch_word image entry bad in
+  let image = I.patch image ~addr:entry [ bad ] in
   match An.Cfi.reconstruct ~image ~mode ~prefix:"prog" with
   | Ok _ -> Alcotest.fail "computed jump accepted"
   | Error vs ->
@@ -352,15 +337,12 @@ let test_gates_need_sfi () =
   in
   let words = Amulet_mcu.Encode.encode patched in
   Alcotest.(check int) "same length" insn.An.Cfi.i_size (2 * List.length words);
-  let image =
-    List.fold_left
-      (fun (img, a) w -> (patch_word img a w, a + 2))
-      (image, insn.An.Cfi.i_addr) words
-    |> fst
-  in
+  let image = I.patch image ~addr:insn.An.Cfi.i_addr words in
   let g = An.Lint.gates_chain ~image ~mode ~prefix in
   Alcotest.(check bool) "SFI rejects the patched store" true
-    (Result.is_error (Lazy.force g.An.Lint.g_sfi));
+    (match Lazy.force g.An.Lint.g_sfi with
+    | Some (Error _) -> true
+    | _ -> false);
   Alcotest.(check bool) "CFI still passes" true
     (Result.is_ok (Lazy.force g.An.Lint.g_cfi));
   Alcotest.(check (list string))
@@ -514,6 +496,91 @@ let test_calls_resolve () =
         specs)
     modes
 
+(* The trampoline's pushes after its last SP write land on the app
+   stack before the handler runs. *)
+let test_tramp_bytes_match_code () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun shadow ->
+          let items =
+            Amulet_aft.Stubs.trampoline ~mode ~shadow ~name:"app"
+              ~cfg:Amulet_aft.Stubs.placeholder_cfg ~stack_top:0xA400 ()
+          in
+          let bytes =
+            List.fold_left
+              (fun n item ->
+                match item with
+                | A.Ins (A.I1 (op, _, _, A.Dreg 1)) when Op.writes_back op -> 0
+                | A.Ins (A.I2 (Op.PUSH, _, _)) -> n + 2
+                | _ -> n)
+              0 items
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s%s" (Iso.name mode)
+               (if shadow then "+shadow" else ""))
+            bytes Iso.tramp_stack_bytes)
+        [ false; true ])
+    modes
+
+(* ------------------------------------------------------------------ *)
+(* Reader totality: a corrupted code section gets a report, never an
+   exception, and every SFI/CFI error is located inside the section
+   it certifies. *)
+
+let mutant_apps = [ "quicksort"; "pedometer"; "callheavy"; "activity" ]
+
+let mutant_base =
+  let cache = Hashtbl.create 16 in
+  fun mode name ->
+    match Hashtbl.find_opt cache (mode, name) with
+    | Some b -> b
+    | None ->
+      let app =
+        List.find (fun (a : Suite.app) -> a.Suite.name = name) Suite.all
+      in
+      let image = (Aft.build ~mode [ Suite.spec_for mode app ]).Aft.fw_image in
+      let b = (image, An.Section.of_image image ~prefix:name) in
+      Hashtbl.replace cache (mode, name) b;
+      b
+
+let corrupted_images_lint mode =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (oneofl mutant_apps)
+        (list_size (int_range 1 3)
+           (pair (int_bound 0xFFFF) (int_bound 0xFFFF))))
+  in
+  let print (name, ms) =
+    Printf.sprintf "%s: %s" name
+      (String.concat ", "
+         (List.map (fun (k, w) -> Printf.sprintf "word %d := %04X" k w) ms))
+  in
+  QCheck2.Test.make ~count:250 ~print
+    ~name:("corrupted code sections lint (" ^ Iso.name mode ^ ")")
+    gen
+    (fun (name, ms) ->
+      let image, sec = mutant_base mode name in
+      let words = (sec.An.Section.s_code_hi - sec.An.Section.s_code_lo) / 2 in
+      let word_addr k = sec.An.Section.s_code_lo + (2 * (k mod words)) in
+      let image =
+        List.fold_left
+          (fun img (k, w) -> I.patch img ~addr:(word_addr k) [ w ])
+          image ms
+      in
+      let r = An.Lint.run ~image ~mode ~apps:[ name ] in
+      List.for_all
+        (fun (d : An.Lint.diag) ->
+          d.An.Lint.d_severity <> An.Lint.Error
+          || (d.An.Lint.d_pass <> "sfi" && d.An.Lint.d_pass <> "cfi")
+          ||
+          match d.An.Lint.d_addr with
+          | Some a ->
+            a >= sec.An.Section.s_code_lo && a < sec.An.Section.s_code_hi
+          | None -> false)
+        r.An.Lint.l_diags)
+
 let suite =
   [
     ( "contract",
@@ -524,7 +591,16 @@ let suite =
           test_gate_bytes_match_code;
         Alcotest.test_case "every direct call resolves" `Quick
           test_calls_resolve;
+        Alcotest.test_case "trampoline stack bytes match its code" `Quick
+          test_tramp_bytes_match_code;
       ] );
+    ( "readers",
+      List.map
+        (fun mode ->
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x5EED |])
+            (corrupted_images_lint mode))
+        modes );
     ( "cfi",
       [
         Alcotest.test_case "accepts harness programs" `Quick

@@ -2,14 +2,16 @@
    pass the independent SFI check, and a tampered image — a guard
    whose bound immediate has been zeroed — must be rejected.  The
    verifier shares no code with the guard *emitter*, so these tests
-   cross-check the compiler and the verifier against each other. *)
+   cross-check the compiler and the verifier against each other.  The
+   verifier runs over the graph CFI reconstructs, as the certifier
+   chains them. *)
 
 module Iso = Amulet_cc.Isolation
 module Aft = Amulet_aft.Aft
 module Apps = Amulet_apps.Suite
-module I = Amulet_link.Image
 module O = Amulet_mcu.Opcode
 module V = Amulet_analysis.Verifier
+module Cfi = Amulet_analysis.Cfi
 
 let app_named name =
   List.find (fun (a : Apps.app) -> a.Apps.name = name) Apps.all
@@ -17,7 +19,14 @@ let app_named name =
 let build ?shadow ?elide mode (app : Apps.app) =
   Aft.build ~mode ?shadow ?elide [ Apps.spec_for mode app ]
 
-let verify fw name mode = V.verify_app ~image:fw.Aft.fw_image ~mode ~prefix:name
+let verify_image ~mode ~prefix image =
+  match Cfi.reconstruct ~image ~mode ~prefix with
+  | Ok cfg -> V.verify ~cfg
+  | Error vs ->
+    Alcotest.failf "%s: CFI rejected: %s" prefix
+      (String.concat "; " (List.map (Format.asprintf "%a" Cfi.pp_violation) vs))
+
+let verify fw name mode = verify_image ~mode ~prefix:name fw.Aft.fw_image
 
 let check_ok what fw name mode =
   match verify fw name mode with
@@ -60,44 +69,15 @@ let test_accepts_no_elide mode () =
 (* ------------------------------------------------------------------ *)
 (* Rejection of a tampered image *)
 
-let poke (image : I.t) a v =
-  List.iter
-    (fun (base, b) ->
-      if a >= base && a + 1 < base + Bytes.length b then begin
-        Bytes.set b (a - base) (Char.chr (v land 0xFF));
-        Bytes.set b (a - base + 1) (Char.chr ((v lsr 8) land 0xFF))
-      end)
-    image.I.chunks
-
-(* Zero the immediate of the first lower-bound guard comparison in the
-   app's code section: the guard still executes but now compares the
-   pointer against 0, so the verifier can no longer derive the lower
-   bound the store needs. *)
-let corrupt_guard (image : I.t) ~prefix =
-  let code_lo = I.symbol image (Iso.code_lo_sym ~prefix) in
-  let code_hi = I.symbol image (Iso.code_hi_sym ~prefix) in
-  let data_lo = I.symbol image (Iso.data_lo_sym ~prefix) in
-  let fetch = I.word image in
-  let rec scan a =
-    if a >= code_hi then None
-    else
-      match Amulet_mcu.Decode.decode ~fetch ~addr:a with
-      | exception Amulet_mcu.Decode.Illegal _ -> scan (a + 2)
-      | O.Fmt1 (O.CMP, _, O.S_immediate k, O.D_reg r), _
-        when k land 0xFFFF = data_lo && r >= 4 ->
-        poke image (a + 2) 0;
-        Some a
-      | _, size -> scan (a + size)
-  in
-  scan code_lo
-
 let test_rejects_corrupt mode () =
   let fw = build mode (app_named "quicksort") in
   check_ok "pre-corruption" fw "quicksort" mode;
-  match corrupt_guard fw.Aft.fw_image ~prefix:"quicksort" with
+  match
+    Amulet_sec.Attacks.corrupt_guard fw.Aft.fw_image ~prefix:"quicksort"
+  with
   | None -> Alcotest.fail "no lower-bound guard found to corrupt"
-  | Some _ -> (
-    match verify fw "quicksort" mode with
+  | Some (_, image) -> (
+    match verify_image ~mode ~prefix:"quicksort" image with
     | Ok _ -> Alcotest.fail "verifier accepted a tampered image"
     | Error vs ->
       Alcotest.(check bool) "at least one violation" true (vs <> []))
@@ -117,33 +97,40 @@ let test_stats () =
 
 let test_unknown_prefix () =
   let fw = build Iso.Software_only (app_named "quicksort") in
-  match
-    V.verify_app ~image:fw.Aft.fw_image ~mode:Iso.Software_only ~prefix:"nope"
-  with
+  match verify_image ~mode:Iso.Software_only ~prefix:"nope" fw.Aft.fw_image with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for an unknown prefix"
 
-(* A store through a negative index off a guard-refined register: the
-   guards confine R5 to [data_lo + 2, data_hi), so [-2(R5)] stays in
-   [data_lo, data_hi - 2).  Hand-assembled, since the compiler's own
-   accesses use non-negative offsets. *)
-let test_negative_index () =
-  let module A = Amulet_link.Asm in
+(* Hand-assembled software-only guard pair on R5 in front of a store
+   to [-2(R5)], with [between] placed between the lower-bound CMP and
+   its Jcc.  The guards confine R5 to [data_lo + 2, data_hi), so the
+   store stays in [data_lo, data_hi - 2) — a negative offset, which
+   the compiler's own accesses never use.  [t$g] is a callee that sets
+   the carry flag and never returns. *)
+module A = Amulet_link.Asm
+
+let guarded_store ?(between = []) () =
   let module L = Amulet_link.Linker in
   let prefix = "t" in
-  let fail = "t$$fail" in
+  let fail = "t$$fail" and callee = Iso.mangle ~prefix "g" in
   let code =
     [
       A.label (Iso.mangle ~prefix "main");
       A.cmp (A.Simm (A.Off (Iso.data_lo_sym ~prefix, 2))) (A.Dreg 5);
-      A.jcc O.JNC fail;
-      A.cmp (A.Simm (A.Sym (Iso.data_hi_sym ~prefix))) (A.Dreg 5);
-      A.jcc O.JC fail;
-      A.mov (A.imm 0) (A.Didx (5, A.Num (-2)));
-      A.label fail;
-      A.mov (A.imm 1) (A.Dabs (A.Num Amulet_mcu.Machine.halt_port));
-      A.jmp fail;
     ]
+    @ between
+    @ [
+        A.jcc O.JNC fail;
+        A.cmp (A.Simm (A.Sym (Iso.data_hi_sym ~prefix))) (A.Dreg 5);
+        A.jcc O.JC fail;
+        A.mov (A.imm 0) (A.Didx (5, A.Num (-2)));
+        A.label fail;
+        A.mov (A.imm 1) (A.Dabs (A.Num Amulet_mcu.Machine.halt_port));
+        A.jmp fail;
+        A.label callee;
+        A.bis (A.imm 1) (A.Dreg A.r_sr);
+        A.jmp callee;
+      ]
   in
   let image =
     L.link ~entry:(Iso.mangle ~prefix "main")
@@ -153,11 +140,54 @@ let test_negative_index () =
           items = [ A.Space 16 ] };
       ]
   in
-  match V.verify_app ~image ~mode:Iso.Software_only ~prefix with
+  verify_image ~mode:Iso.Software_only ~prefix image
+
+let test_negative_index () =
+  match guarded_store () with
   | Ok st -> Alcotest.(check int) "store proved" 1 st.V.v_stores
   | Error vs ->
     Alcotest.failf "rejected: %s"
       (String.concat "; " (List.map (Format.asprintf "%a" V.pp_violation) vs))
+
+(* The lower-bound CMP's refinement ends at the next instruction that
+   can change the flags; the Jcc then tests flags the CMP did not set,
+   so the store must be rejected. *)
+let flag_clobbers =
+  [
+    ("RRA R6", A.Ins (A.I2 (O.RRA, Amulet_mcu.Word.W16, A.Sreg 6)));
+    ("SXT R6", A.Ins (A.I2 (O.SXT, Amulet_mcu.Word.W16, A.Sreg 6)));
+    ("BIS #1, SR", A.bis (A.imm 1) (A.Dreg A.r_sr));
+    ("MOV #1, SR", A.mov (A.imm 1) (A.Dreg A.r_sr));
+    ("CALL #t$g", A.call (Iso.mangle ~prefix:"t" "g"));
+  ]
+
+let test_flags_die () =
+  List.iter
+    (fun (what, insn) ->
+      match guarded_store ~between:[ insn ] () with
+      | Ok _ -> Alcotest.failf "%s between CMP and Jcc: store accepted" what
+      | Error vs ->
+        Alcotest.(check bool)
+          (what ^ ": the store is the violation")
+          true
+          (List.exists
+             (fun v ->
+               v.V.vreason
+               = "store address not proven inside the app data section")
+             vs))
+    flag_clobbers
+
+(* SWPB and PUSH leave the flags alone: the comparison stays live. *)
+let test_flags_survive () =
+  List.iter
+    (fun (what, insn) ->
+      match guarded_store ~between:[ insn ] () with
+      | Ok st -> Alcotest.(check int) (what ^ ": store proved") 1 st.V.v_stores
+      | Error _ -> Alcotest.failf "%s between CMP and Jcc: rejected" what)
+    [
+      ("SWPB R6", A.Ins (A.I2 (O.SWPB, Amulet_mcu.Word.W16, A.Sreg 6)));
+      ("PUSH R6", A.push (A.Sreg 6));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* CLI: a firmware with zero app sections must fail, not pass
@@ -210,6 +240,10 @@ let () =
         [
           Alcotest.test_case "negative index off a guarded base" `Quick
             test_negative_index;
+          Alcotest.test_case "flags die between CMP and Jcc" `Quick
+            test_flags_die;
+          Alcotest.test_case "SWPB and PUSH keep the comparison" `Quick
+            test_flags_survive;
         ] );
       ( "stats",
         [
