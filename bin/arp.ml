@@ -60,7 +60,7 @@ let run app_name warmup () =
             Format.printf "    %-24s %3d checked, %3d elided, %3d static, %2d API@."
               s.Arp.ss_function s.Arp.ss_checked s.Arp.ss_elided
               s.Arp.ss_static s.Arp.ss_api_calls)
-          (Arp.static_view ~mode app))
+          p.Arp.ap_sites)
       Iso.all;
     0
 

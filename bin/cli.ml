@@ -114,7 +114,10 @@ let no_elide =
   Arg.(
     value & flag
     & info [ "no-elide" ]
-        ~doc:"Compile with every guard emitted (skip the range analysis).")
+        ~doc:
+          "Compile with every guard emitted: the range analysis still \
+           runs, rejects provably out-of-bounds accesses and bounds loops, \
+           but no guard is elided.")
 
 let shadow =
   Arg.(

@@ -35,10 +35,6 @@ let valid_name name =
 let stack_margin = 64
 
 let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
-  let analyze = if elide then Some Amulet_analysis.Range.analyze else None in
-  let loop_bounds =
-    if elide then Some Amulet_analysis.Range.loop_bounds else None
-  in
   (* phase 0: validate *)
   let names = List.map (fun s -> s.name) specs in
   if List.length (List.sort_uniq compare names) <> List.length names then
@@ -50,10 +46,7 @@ let build ~mode ?(shadow = false) ?(elide = true) ?(certify = true) specs =
      code generation against placeholder bound symbols) *)
   let compiled =
     List.map
-      (fun s ->
-        ( s,
-          Driver.compile ~prefix:s.name ~mode ~shadow ?analyze ?loop_bounds
-            s.source ))
+      (fun s -> (s, Driver.compile ~prefix:s.name ~mode ~shadow ~elide s.source))
       specs
   in
   (* phase 3: sections and stub generation (sizing pass) *)

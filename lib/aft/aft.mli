@@ -45,9 +45,12 @@ val build :
   firmware
 (** [shadow] additionally arms the shadow return-address stack in
     InfoMem (the paper's future-work hardening; works with any mode).
-    [elide] (default true) runs the range analysis so codegen can drop
-    guards at proven-safe dereference sites; pass [false] to measure
-    the unoptimized check cost.
+    [elide] (default true) lets codegen drop the guards at the
+    dereference sites the range analysis proved safe; pass [false] to
+    measure the unoptimized check cost.  The analysis itself runs on
+    every compile either way (see {!Amulet_cc.Driver.compile}), so
+    [elide] changes neither which programs compile nor the
+    [wcet.loop.*] bounds stamped into the image.
     [certify] (default true) runs {!Amulet_analysis.Lint}'s gates
     chain per app post-link (after the [wcet.loop.*] notes are
     stamped; no WCET pass runs here, and nothing runs under

@@ -1,7 +1,7 @@
 (** Independent SFI verifier for linked application images.
 
     The compiler inserts bounds checks ({!Amulet_cc.Codegen}) and the
-    range analysis ({!Range}) elides the provably redundant ones; both
+    range analysis ({!Amulet_cc.Range}) elides the provably redundant ones; both
     live inside the toolchain's trusted computing base.  This module
     shrinks that TCB: it checks the isolation invariant directly on an
     application's linked machine code, with no knowledge of how the

@@ -11,12 +11,21 @@ type handler_profile = {
   hp_api_calls_per_event : float;
 }
 
+type static_sites = {
+  ss_function : string;
+  ss_checked : int;
+  ss_elided : int;
+  ss_static : int;
+  ss_api_calls : int;
+}
+
 type app_profile = {
   ap_app : string;
   ap_mode : Iso.mode;
   ap_handlers : handler_profile list;
   ap_cycles_per_week : float;
   ap_states : ((int * string) * Os.Kernel.handler_stats) list;
+  ap_sites : static_sites list;
 }
 
 let seconds_per_week = 7.0 *. 86_400.0
@@ -44,6 +53,17 @@ let rates_of_app (app : Os.Kernel.app_state) =
       [ ("handle_timer", per_week) ]
   in
   sensor_rates @ timer_rate
+
+(* Phase-1 site counts of one function, as the build compiled it. *)
+let site_counts (fi : Amulet_cc.Codegen.fn_info) =
+  let s = fi.Amulet_cc.Codegen.fi_sites in
+  {
+    ss_function = fi.Amulet_cc.Codegen.fi_name;
+    ss_checked = s.Amulet_cc.Codegen.checked;
+    ss_elided = s.Amulet_cc.Codegen.elided;
+    ss_static = fi.Amulet_cc.Codegen.fi_static_sites;
+    ss_api_calls = List.length fi.Amulet_cc.Codegen.fi_api_calls;
+  }
 
 let profile_app ?(scenario = Os.Sensors.Walking) ?(warmup_ms = 90_000) ~mode
     (app : Apps.app) =
@@ -89,33 +109,11 @@ let profile_app ?(scenario = Os.Sensors.Walking) ?(warmup_ms = 90_000) ~mode
     ap_handlers = handlers;
     ap_cycles_per_week = cycles_per_week;
     ap_states = Os.Kernel.state_profile records ~app:index;
+    ap_sites =
+      List.map site_counts
+        st.Os.Kernel.build.Aft.ab_compiled.Amulet_cc.Driver.infos;
   }
 
 let overhead_cycles_per_week ~baseline profiled =
   max 0.0 (profiled.ap_cycles_per_week -. baseline.ap_cycles_per_week)
 
-type static_sites = {
-  ss_function : string;
-  ss_checked : int;
-  ss_elided : int;
-  ss_static : int;
-  ss_api_calls : int;
-}
-
-let static_view ~mode (app : Apps.app) =
-  let spec = Apps.spec_for mode app in
-  let cu =
-    Amulet_cc.Driver.compile ~prefix:spec.Aft.name ~mode
-      ~analyze:Amulet_analysis.Range.analyze spec.Aft.source
-  in
-  List.map
-    (fun fi ->
-      let s = fi.Amulet_cc.Codegen.fi_sites in
-      {
-        ss_function = fi.Amulet_cc.Codegen.fi_name;
-        ss_checked = s.Amulet_cc.Codegen.checked;
-        ss_elided = s.Amulet_cc.Codegen.elided;
-        ss_static = fi.Amulet_cc.Codegen.fi_static_sites;
-        ss_api_calls = List.length fi.Amulet_cc.Codegen.fi_api_calls;
-      })
-    cu.Amulet_cc.Driver.infos

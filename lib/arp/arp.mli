@@ -9,8 +9,20 @@
     directly from the app's own subscriptions and timers — the same
     extrapolation with measured rather than hand-annotated inputs.
 
-    It also exposes the static enumeration of AFT phase 1 (checked and
-    statically-verified access sites per function) for the report. *)
+    It also reports the static enumeration of AFT phase 1 (checked and
+    statically-verified access sites per function) of the firmware it
+    profiled. *)
+
+(** Static (phase-1) counts per function, from the compiler as the
+    profiled firmware was built (range analysis on, so the guards it
+    elides are visible). *)
+type static_sites = {
+  ss_function : string;
+  ss_checked : int;
+  ss_elided : int;
+  ss_static : int;
+  ss_api_calls : int;
+}
 
 type handler_profile = {
   hp_handler : string;
@@ -30,6 +42,9 @@ type app_profile = {
           {!Amulet_os.Kernel.state_profile} of its dispatch records,
           keyed by (app [state] when the event arrived, handler).
           Empty for apps without a [state] global. *)
+  ap_sites : static_sites list;
+      (** per-function site counts of the profiled firmware's
+          compile *)
 }
 
 val profile_app :
@@ -48,18 +63,3 @@ val profile_app :
 val overhead_cycles_per_week :
   baseline:app_profile -> app_profile -> float
 (** Isolation overhead = profiled week minus the no-isolation week. *)
-
-(** Static (phase-1) counts per function, from the compiler (with the
-    range analysis enabled, so guards it elides are visible). *)
-type static_sites = {
-  ss_function : string;
-  ss_checked : int;
-  ss_elided : int;
-  ss_static : int;
-  ss_api_calls : int;
-}
-
-val static_view :
-  mode:Amulet_cc.Isolation.mode ->
-  Amulet_apps.Suite.app ->
-  static_sites list

@@ -4,16 +4,15 @@ module O = Amulet_mcu.Opcode
 module M = Amulet_mcu.Machine
 module T = Amulet_mcu.Timer
 
-(* Verdict of the (optional) range analysis for one dereference site,
-   keyed by the source location of the access expression. *)
+(* Verdict of the range analysis for one dereference site, keyed by
+   the source location of the access expression. *)
 type site_class =
   | Proven_safe  (* always in bounds: the guard can be elided *)
   | Needs_check  (* unknown: emit the mode's run-time guard *)
-  | Proven_unsafe of string  (* always out of bounds: compile error *)
 
 type classifier = Srcloc.t -> site_class
 
-type site_stats = { checked : int; elided : int; proven_unsafe : int }
+type site_stats = { checked : int; elided : int }
 
 type fn_info = {
   fi_name : string;
@@ -220,8 +219,8 @@ let emit_code_check c reg =
     ~lo_reason:Isolation.fault_code_ptr ~hi_reason:Isolation.fault_code_ptr
 
 (* Decide whether a computed-address access still needs its run-time
-   guard.  The range analysis (lib/analysis) classifies sites by
-   source location; without it every site is checked, as before. *)
+   guard.  The range analysis ({!Range}) classifies sites by source
+   location; a compile without elision checks every site. *)
 let dyn_needs_check c (loc : Srcloc.t) =
   Isolation.checks_lower_bound c.p.mode
   &&
@@ -230,7 +229,6 @@ let dyn_needs_check c (loc : Srcloc.t) =
   | Proven_safe ->
     c.elided <- c.elided + 1;
     false
-  | Proven_unsafe msg -> errf loc "%s" msg
 
 (* Feature-limited array-index check through the runtime helper. *)
 let emit_array_check c idx_reg len =
@@ -1116,7 +1114,7 @@ let gen_function (p : pctx) (f : tfunc) : A.item list * fn_info =
       fi_saved_regs = List.length saved;
       fi_calls = List.sort_uniq compare c.calls;
       fi_api_calls = List.rev c.api_calls;
-      fi_sites = { checked = c.checked; elided = c.elided; proven_unsafe = 0 };
+      fi_sites = { checked = c.checked; elided = c.elided };
       fi_static_sites = c.statics;
       fi_fnptr_calls = c.fnptr;
       fi_spill_bytes = c.max_push;
@@ -1192,8 +1190,7 @@ let fault_stubs prefix =
     ]
 
 let gen_program ~prefix ~mode ?(shadow = false)
-    ?(classify = fun _ -> Needs_check) ?(loop_bound = fun _ -> None)
-    (prog : Tast.program) : output =
+    ~classify ~loop_bound (prog : Tast.program) : output =
   let p =
     {
       prefix; mode; shadow; classify; loop_bound; env = prog.struct_env;

@@ -18,22 +18,17 @@
     The bound "constants" are the linker's section start/end symbols,
     resolved in AFT phase 4. *)
 
-(** Verdict of the range analysis (lib/analysis) for one dereference
+(** Verdict of the range analysis ({!Range}) for one dereference
     site, identified by the source location of the access expression.
-    Without an analysis every site is [Needs_check]. *)
+    A compile without elision classifies every site [Needs_check]. *)
 type site_class =
   | Proven_safe  (** always in bounds: the run-time guard is elided *)
   | Needs_check  (** nothing proven: emit the mode's run-time guard *)
-  | Proven_unsafe of string
-      (** always out of bounds: compiling the site raises
-          {!Srcloc.Error} with this message *)
 
 type classifier = Srcloc.t -> site_class
 
-(** Per-function dereference-site accounting. [proven_unsafe] is only
-    ever non-zero in analysis results that are inspected without being
-    compiled; compiling a proven-unsafe site is an error. *)
-type site_stats = { checked : int; elided : int; proven_unsafe : int }
+(** Per-function dereference-site accounting. *)
+type site_stats = { checked : int; elided : int }
 
 (** Per-function facts for the call-graph, stack-depth analysis and
     the resource profiler. *)
@@ -82,8 +77,8 @@ val gen_program :
   prefix:string ->
   mode:Isolation.mode ->
   ?shadow:bool ->
-  ?classify:classifier ->
-  ?loop_bound:(Srcloc.t -> int option) ->
+  classify:classifier ->
+  loop_bound:(Srcloc.t -> int option) ->
   Tast.program ->
   output
 (** [classify] is consulted once per computed-address dereference site
@@ -91,10 +86,9 @@ val gen_program :
     insert guards; [Proven_safe] suppresses the guard.
 
     [loop_bound] is consulted once per loop statement with the
-    condition's source location ({!Amulet_analysis.Range.loop_bounds}
-    is the producer); a [Some b] is recorded against the loop's header
-    label in [output.loops] and changes nothing about the emitted
-    code.
+    condition's source location ({!Range.run} is the producer); a
+    [Some b] is recorded against the loop's header label in
+    [output.loops] and changes nothing about the emitted code.
 
     [shadow] enables the shadow return-address stack (an optional
     hardening on top of any mode): prologues copy the return address

@@ -12,19 +12,22 @@ type compiled = {
 
 let default_stack_bytes = 512
 
-let compile ~prefix ~mode ?(shadow = false) ?analyze ?loop_bounds
-    ?(extra_externals = []) source =
+let compile ~prefix ~mode ?(shadow = false) ?(elide = true) source =
   let ast = Parser.parse source in
   Feature_check.check ~mode ast;
-  let externals =
-    Runtime.builtin_externals @ Apis.signatures @ extra_externals
-  in
+  let externals = Runtime.builtin_externals @ Apis.signatures in
   let tast = Typecheck.check ~externals ast in
-  (* the range analysis runs between type checking and code generation
-     and may itself reject proven-out-of-bounds accesses *)
-  let classify = Option.map (fun f -> f tast) analyze in
-  let loop_bound = Option.map (fun f -> f tast) loop_bounds in
-  let out = Codegen.gen_program ~prefix ~mode ~shadow ?classify ?loop_bound tast in
+  (* the range analysis runs once, between type checking and code
+     generation, and may itself reject proven-out-of-bounds accesses;
+     [elide] only decides whether codegen sees its site classes *)
+  let range = Range.run tast in
+  let classify =
+    if elide then range.Range.classify else fun _ -> Codegen.Needs_check
+  in
+  let out =
+    Codegen.gen_program ~prefix ~mode ~shadow ~classify
+      ~loop_bound:range.Range.loop_bound tast
+  in
   let roots =
     let mains =
       List.filter_map

@@ -22,18 +22,15 @@ val compile :
   prefix:string ->
   mode:Isolation.mode ->
   ?shadow:bool ->
-  ?analyze:(Tast.program -> Codegen.classifier) ->
-  ?loop_bounds:(Tast.program -> Srcloc.t -> int option) ->
-  ?extra_externals:(string * Ctype.t) list ->
+  ?elide:bool ->
   string ->
   compiled
-(** Full pipeline: lex, parse, phase-1 feature check, type check,
-    code generation with isolation checks, stack-depth analysis.
-    [analyze] (typically {!Amulet_analysis.Range.analyze}) runs after
-    type checking and classifies dereference sites so codegen can
-    elide guards proven redundant; it may raise {!Srcloc.Error} for
-    accesses proven out of bounds.  [loop_bounds] (typically
-    {!Amulet_analysis.Range.loop_bounds}) supplies per-loop iteration
-    bounds recorded into [compiled.loops] for the WCET certifier; it
-    never changes the generated code.
+(** Full pipeline: lex, parse, phase-1 feature check, type check, the
+    value-range analysis ({!Range.run}, exactly once), code generation
+    with isolation checks, stack-depth analysis.  The range analysis
+    always records the loop bounds into [compiled.loops] for the WCET
+    certifier and always rejects accesses proven out of bounds;
+    [elide] (default true) decides only whether codegen drops the
+    guards at the sites it proved safe ([false] keeps every guard, to
+    measure the unoptimized check cost).
     @raise Srcloc.Error on any source-level problem. *)

@@ -6,9 +6,9 @@
    - [walk]/[stmt]: a flow-sensitive abstract interpreter over the
      scalar locals of one function.  Loops and switches are handled by
      killing every variable assigned inside them, so a single pass is
-     a sound over-approximation of all executions.  Its only job is to
-     prove sites *unsafe* (every execution out of bounds), which is
-     reported eagerly as a compile error.
+     a sound over-approximation of all executions.  It proves sites
+     *unsafe* (every execution out of bounds), which is reported
+     eagerly as a compile error, and bounds plain counted loops.
 
    - [robust_val]/[robust_addr]: a flow-insensitive evaluator that
      accepts exactly the derivations the binary verifier replays from
@@ -17,7 +17,6 @@
      bases).  Only it may prove a site *safe*: an elided guard must
      survive independent re-verification of the linked image. *)
 
-open Amulet_cc
 module C = Ctype
 
 let errf = Srcloc.errf
@@ -405,7 +404,7 @@ let rec walk f (e : Tast.texpr) : aval =
     let ordered =
       (* API calls load R12-R14 left to right; plain calls push
          right to left *)
-      if Amulet_cc.Apis.is_api_call name then args
+      if Apis.is_api_call name then args
       else List.rev args
     in
     List.iter (fun a -> ignore (walk f a)) ordered;
@@ -919,7 +918,12 @@ let do_func ctx (fn : Tast.tfunc) =
   let f = { p = ctx; tracked; vals = Hashtbl.create 16 } in
   List.iter (stmt f) fn.Tast.tfbody
 
-let run_pass (prog : Tast.program) =
+type t = {
+  classify : Codegen.classifier;
+  loop_bound : Srcloc.t -> int option;
+}
+
+let run (prog : Tast.program) =
   let ctx =
     {
       env = prog.Tast.struct_env;
@@ -928,15 +932,9 @@ let run_pass (prog : Tast.program) =
     }
   in
   List.iter (do_func ctx) prog.Tast.funcs;
-  ctx
-
-let analyze (prog : Tast.program) : Codegen.classifier =
-  let ctx = run_pass prog in
-  fun loc ->
-    match Hashtbl.find_opt ctx.sites loc with
-    | Some cls -> cls
-    | None -> Codegen.Needs_check
-
-let loop_bounds (prog : Tast.program) : Srcloc.t -> int option =
-  let ctx = run_pass prog in
-  fun loc -> Hashtbl.find_opt ctx.loops loc
+  {
+    classify =
+      (fun loc ->
+        Option.value (Hashtbl.find_opt ctx.sites loc) ~default:Codegen.Needs_check);
+    loop_bound = Hashtbl.find_opt ctx.loops;
+  }

@@ -30,7 +30,7 @@ let measure_handler ?(shadow = false) ?(elide = true) ?(certify = true) ~mode
   let fw = Aft.build ~mode ~shadow ~elide ~certify [ Apps.spec_for mode app ] in
   let k = Os.Kernel.create ~scenario:Os.Sensors.Walking fw in
   let _ = Os.Kernel.run_for_ms k 5 in
-  measure_in_kernel k ~app_index:0 ~arg ~runs
+  (fw, measure_in_kernel k ~app_index:0 ~arg ~runs)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1 *)
@@ -116,12 +116,12 @@ let figure3_specs =
 let figure3 ?(runs = 200) () =
   List.concat_map
     (fun (case, app, arg) ->
-      let baseline =
+      let _, baseline =
         measure_handler ~mode:Iso.No_isolation ~app ~arg ~runs ()
       in
       List.map
         (fun mode ->
-          let cycles = measure_handler ~mode ~app ~arg ~runs () in
+          let _, cycles = measure_handler ~mode ~app ~arg ~runs () in
           {
             f3_case = case;
             f3_mode = mode;
@@ -153,8 +153,8 @@ let ablation_shadow ?(runs = 100) () =
   let calls = float_of_int (Amulet_apps.Bench_sources.call_count + 1) in
   List.map
     (fun mode ->
-      let plain = measure_handler ~mode ~app ~arg:1 ~runs () in
-      let hardened = measure_handler ~shadow:true ~mode ~app ~arg:1 ~runs () in
+      let _, plain = measure_handler ~mode ~app ~arg:1 ~runs () in
+      let _, hardened = measure_handler ~shadow:true ~mode ~app ~arg:1 ~runs () in
       {
         sh_mode = mode;
         sh_plain = plain;
@@ -202,9 +202,8 @@ let ablation_elision ?(runs = 100) () =
   let app = Apps.synthetic in
   List.map
     (fun mode ->
-      let full = measure_handler ~mode ~app ~elide:false ~arg:1 ~runs () in
-      let elided = measure_handler ~mode ~app ~elide:true ~arg:1 ~runs () in
-      let fw = Aft.build ~mode [ Apps.spec_for mode app ] in
+      let _, full = measure_handler ~mode ~app ~elide:false ~arg:1 ~runs () in
+      let fw, elided = measure_handler ~mode ~app ~elide:true ~arg:1 ~runs () in
       let sites =
         List.fold_left
           (fun acc ab ->
@@ -240,9 +239,8 @@ let ablation_gate_cert ?(runs = 100) () =
   let gates = float_of_int Amulet_apps.Bench_sources.gate_ptr_calls in
   List.map
     (fun mode ->
-      let dynamic = measure_handler ~mode ~app ~certify:false ~arg:1 ~runs () in
-      let certified = measure_handler ~mode ~app ~certify:true ~arg:1 ~runs () in
-      let fw = Aft.build ~mode [ Apps.spec_for mode app ] in
+      let _, dynamic = measure_handler ~mode ~app ~certify:false ~arg:1 ~runs () in
+      let fw, certified = measure_handler ~mode ~app ~certify:true ~arg:1 ~runs () in
       let services =
         Amulet_analysis.Gate_taint.stamped fw.Aft.fw_image ~prefix:app.Apps.name
       in

@@ -61,9 +61,10 @@ val measure_handler :
   arg:int ->
   runs:int ->
   unit ->
-  float
-(** Average cycles per dispatch of the app's [handle_button] with the
-    given argument; [shadow] arms the InfoMem shadow stack, [elide]
+  Amulet_aft.Aft.firmware * float
+(** The firmware built for the measurement, and the average cycles per
+    dispatch of the app's [handle_button] with the given argument;
+    [shadow] arms the InfoMem shadow stack, [elide]
     (default true) lets the range analysis drop proven guards,
     [certify] (default true) lets the static certifier elide dynamic
     gate-pointer validation. *)

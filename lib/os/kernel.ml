@@ -259,19 +259,19 @@ let handle_fault t (app : app_state) fault =
       post t ~delay_ms:1 ~app:index Event.Init ~arg:0
     end
 
-let no_handler (e : Event.t) =
+let no_handler ~latency (e : Event.t) =
   {
     dr_app = e.Event.app; dr_kind = e.Event.kind; dr_cycles = 0;
-    dr_latency = 0; dr_reads = 0; dr_writes = 0; dr_api_calls = 0;
+    dr_latency = latency; dr_reads = 0; dr_writes = 0; dr_api_calls = 0;
     dr_outcome = No_handler; dr_state = None;
   }
 
-let dispatch_event t (e : Event.t) =
+let dispatch_event t ~latency (e : Event.t) =
   let app = t.apps.(e.Event.app) in
-  if not app.enabled then no_handler e
+  if not app.enabled then no_handler ~latency e
   else
     match app.handlers.(Event.handler_index e.Event.kind) with
-    | None -> no_handler e
+    | None -> no_handler ~latency e
     | Some haddr ->
       let handler = Event.handler_name e.Event.kind in
       let m = t.machine in
@@ -322,7 +322,7 @@ let dispatch_event t (e : Event.t) =
           dr_app = e.Event.app;
           dr_kind = e.Event.kind;
           dr_cycles = M.cycles m - cycles0;
-          dr_latency = 0;  (* queue wait is known at the pop site only *)
+          dr_latency = latency;
           dr_reads = m.M.stats.Amulet_mcu.Trace.data_reads - reads0;
           dr_writes = m.M.stats.Amulet_mcu.Trace.data_writes - writes0;
           dr_api_calls = t.api.Api.calls - api0;
@@ -389,7 +389,7 @@ let dispatch_next t =
     t.now <- Int.max t.now e.Event.at;
     t.vbase <- t.now - M.cycles t.machine;
     let before = M.cycles t.machine in
-    let record = dispatch_event t e in
+    let record = dispatch_event t ~latency e in
     let elapsed = M.cycles t.machine - before in
     t.now <- t.now + elapsed;
     rearm t e;
@@ -399,7 +399,7 @@ let dispatch_next t =
     (match t.obs with
     | Some obs -> Obs.emit_profile_counters obs ~ts:t.now
     | None -> ());
-    Some { record with dr_latency = latency }
+    Some record
 
 let run_for_ms t ms =
   let deadline = t.now + Event.ms_to_cycles ms in

@@ -28,10 +28,7 @@ type run = {
 let return_value r = Amulet_mcu.Registers.get (M.regs r.machine) 12
 
 let build ?(mode = Cc.Isolation.No_isolation) ?(shadow = false) src =
-  let cu =
-    Cc.Driver.compile ~prefix:"prog" ~mode ~shadow
-      ~analyze:Amulet_analysis.Range.analyze src
-  in
+  let cu = Cc.Driver.compile ~prefix:"prog" ~mode ~shadow src in
   let exit_label = Cc.Isolation.exit_label ~prefix:"prog" in
   let exit_stub =
     [

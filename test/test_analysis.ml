@@ -5,7 +5,7 @@
 module Cc = Amulet_cc
 module H = Test_support.Harness
 
-let compile ?analyze mode src = Cc.Driver.compile ~prefix:"prog" ~mode ?analyze src
+let compile ?elide mode src = Cc.Driver.compile ~prefix:"prog" ~mode ?elide src
 
 let totals (cu : Cc.Driver.compiled) =
   List.fold_left
@@ -33,16 +33,13 @@ let masked_src =
 let masked_result = 318
 
 let test_masked_sites_elided () =
-  let cu =
-    compile ~analyze:Amulet_analysis.Range.analyze Cc.Isolation.Software_only
-      masked_src
-  in
+  let cu = compile Cc.Isolation.Software_only masked_src in
   let checked, elided = totals cu in
   Alcotest.(check int) "checked" 0 checked;
   Alcotest.(check int) "elided" 2 elided
 
 let test_no_analyze_keeps_guards () =
-  let cu = compile Cc.Isolation.Software_only masked_src in
+  let cu = compile ~elide:false Cc.Isolation.Software_only masked_src in
   let checked, elided = totals cu in
   Alcotest.(check int) "elided" 0 elided;
   Alcotest.(check bool) "checked" true (checked >= 2)
@@ -53,23 +50,30 @@ let test_semantics_preserved () =
     (fun mode -> H.check_main ~mode ~expect:masked_result masked_src)
     Cc.Isolation.all
 
+let unsafe_src = "int a[4];\nint main() { int i = 6; a[i] = 1; return 0; }"
+
+(* The analysis runs on every compile, so turning elision off must not
+   let a proven-out-of-bounds access through. *)
 let test_proven_unsafe () =
-  match
-    H.build ~mode:Cc.Isolation.Software_only
-      "int a[4];\nint main() { int i = 6; a[i] = 1; return 0; }"
-  with
-  | exception Cc.Srcloc.Error (_, msg) ->
-    Alcotest.(check bool)
-      ("diagnostic mentions provably out of bounds: " ^ msg)
-      true
-      (contains msg "provably out of bounds")
-  | _ -> Alcotest.fail "expected a proven-unsafe compile error"
+  let rejected what build =
+    match build () with
+    | exception Cc.Srcloc.Error (_, msg) ->
+      Alcotest.(check bool)
+        (what ^ ": diagnostic mentions provably out of bounds: " ^ msg)
+        true
+        (contains msg "provably out of bounds")
+    | _ -> Alcotest.fail (what ^ ": expected a proven-unsafe compile error")
+  in
+  rejected "elide" (fun () ->
+      H.build ~mode:Cc.Isolation.Software_only unsafe_src);
+  rejected "no elide" (fun () ->
+      compile ~elide:false Cc.Isolation.Software_only unsafe_src)
 
 (* An index arriving through a parameter is unbounded: the analysis
    must keep the guard. *)
 let test_param_index_still_checked () =
   let cu =
-    compile ~analyze:Amulet_analysis.Range.analyze Cc.Isolation.Software_only
+    compile Cc.Isolation.Software_only
       "int a[8];\nint get(int i) { return a[i]; }\nint main() { return get(3); }"
   in
   let get =

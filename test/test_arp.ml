@@ -67,13 +67,16 @@ let test_overhead_ordering () =
 let test_static_view () =
   (* quicksort under software-only: the partition loops dereference
      dynamically-indexed arrays, so checked sites must appear *)
-  let sites = Arp.static_view ~mode:Iso.Software_only (Apps.find "quicksort") in
+  let sites_of mode =
+    (Arp.profile_app ~warmup_ms:1_000 ~mode (Apps.find "quicksort")).Arp.ap_sites
+  in
+  let sites = sites_of Iso.Software_only in
   let total_checked =
     List.fold_left (fun a s -> a + s.Arp.ss_checked) 0 sites
   in
   check_bool "has checked sites" true (total_checked > 0);
   (* no-isolation: zero checked sites everywhere *)
-  let sites0 = Arp.static_view ~mode:Iso.No_isolation (Apps.find "quicksort") in
+  let sites0 = sites_of Iso.No_isolation in
   Alcotest.(check int)
     "no checks in baseline" 0
     (List.fold_left (fun a s -> a + s.Arp.ss_checked) 0 sites0)

@@ -502,7 +502,7 @@ let fi ?(frame = 0) ?(saved = 0) ?(spill = 0) ?(runtime = 0) name calls =
     fi_saved_regs = saved;
     fi_calls = calls;
     fi_api_calls = [];
-    fi_sites = { Cc.Codegen.checked = 0; elided = 0; proven_unsafe = 0 };
+    fi_sites = { Cc.Codegen.checked = 0; elided = 0 };
     fi_static_sites = 0;
     fi_fnptr_calls = 0;
     fi_spill_bytes = spill;

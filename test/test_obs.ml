@@ -232,33 +232,106 @@ let test_agg_profile_counters () =
         Alcotest.failf "no %s counter in trace" (Profile.category_slug c))
     (Profile.totals p)
 
+(* [Agg.of_channel] over [text] written to a file: the aggregate, or
+   the message of the located parse error it raised. *)
+let agg_of_text text =
+  let path = Filename.temp_file "trace" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      In_channel.with_open_bin path (fun ic ->
+          match Agg.of_channel ic with
+          | agg -> Ok agg
+          | exception Json.Parse_error msg -> Error msg))
+
+let jsonl_text records =
+  let buf = Buffer.create 4096 in
+  let sink = Obs.jsonl_buffer_sink buf in
+  List.iter sink.Obs.output records;
+  Buffer.contents buf
+
+let chrome_text records =
+  let buf = Buffer.create 4096 in
+  let sink = Obs.chrome_buffer_sink buf in
+  List.iter sink.Obs.output records;
+  sink.Obs.close ();
+  Buffer.contents buf
+
 (* A JSONL trace whose line 40 was cut short: the streaming reader
    must name that line, not just report trailing garbage. *)
 let test_agg_truncated_jsonl_line () =
   let records = collect_records ~mode:Iso.Mpu_assisted in
   check_bool "enough records" true (List.length records > 60);
-  let buf = Buffer.create 4096 in
-  let sink = Obs.jsonl_buffer_sink buf in
-  List.iter sink.Obs.output records;
-  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  let lines = String.split_on_char '\n' (jsonl_text records) in
   let cut =
     List.mapi
       (fun i l -> if i = 39 then String.sub l 0 (String.length l / 2) else l)
       lines
   in
-  let path = Filename.temp_file "trace" ".jsonl" in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (String.concat "\n" cut));
-  let result =
-    In_channel.with_open_bin path (fun ic ->
-        match Agg.of_channel ic with
-        | _ -> Ok ()
-        | exception Json.Parse_error msg -> Error msg)
-  in
-  Sys.remove path;
-  match result with
-  | Ok () -> Alcotest.fail "truncated line accepted"
+  match agg_of_text (String.concat "\n" cut) with
+  | Ok _ -> Alcotest.fail "truncated line accepted"
   | Error msg -> check_contains "located error" "line 40:" msg
+
+(* Reader totality: a trace with 1-3 random byte edits, truncations or
+   deletions either aggregates or is rejected with a [Json.Parse_error]
+   that names a line or an offset; no other exception escapes. *)
+
+type edit = Set of int * char | Truncate of int | Delete of int * int
+
+let apply_edit text = function
+  | _ when text = "" -> text
+  | Set (k, c) ->
+    let b = Bytes.of_string text in
+    Bytes.set b (k mod Bytes.length b) c;
+    Bytes.to_string b
+  | Truncate k -> String.sub text 0 (k mod String.length text)
+  | Delete (k, len) ->
+    let n = String.length text in
+    let k = k mod n in
+    let len = min len (n - k) in
+    String.sub text 0 k ^ String.sub text (k + len) (n - k - len)
+
+let located msg =
+  let n = String.length msg in
+  let digit_after sub =
+    let m = String.length sub in
+    let rec go i =
+      i + m < n
+      && ((String.sub msg i m = sub && msg.[i + m] >= '0' && msg.[i + m] <= '9')
+         || go (i + 1))
+    in
+    go 0
+  in
+  digit_after "line " || digit_after "offset "
+
+let mutated_traces_read ~format text =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 3)
+        (oneof
+           [
+             map2 (fun k c -> Set (k, c)) nat printable;
+             map (fun k -> Truncate k) nat;
+             map2 (fun k len -> Delete (k, len)) nat (int_range 1 16);
+           ]))
+  in
+  let print edits =
+    String.concat ", "
+      (List.map
+         (function
+           | Set (k, c) -> Printf.sprintf "byte %d := %C" k c
+           | Truncate k -> Printf.sprintf "truncate at %d" k
+           | Delete (k, len) -> Printf.sprintf "delete %d at %d" len k)
+         edits)
+  in
+  QCheck2.Test.make ~count:200 ~print
+    ~name:("mutated " ^ format ^ " traces read or are located")
+    gen
+    (fun edits ->
+      match agg_of_text (List.fold_left apply_edit text edits) with
+      | Ok _ -> true
+      | Error msg -> located msg || QCheck2.Test.fail_reportf "unlocated: %s" msg)
 
 (* ------------------------------------------------------------------ *)
 (* Zero cost: tracing and telemetry are host-side, so a run's
@@ -420,6 +493,14 @@ let () =
           Alcotest.test_case "truncated JSONL line located" `Quick
             test_agg_truncated_jsonl_line;
         ] );
+      ( "readers",
+        (let records = collect_records ~mode:Iso.Mpu_assisted in
+         List.map
+           (fun (format, text) ->
+             QCheck_alcotest.to_alcotest
+               ~rand:(Random.State.make [| 0x7ACE |])
+               (mutated_traces_read ~format (text records)))
+           [ ("JSONL", jsonl_text); ("Chrome", chrome_text) ]) );
       ( "zero-cost",
         [
           Alcotest.test_case "tracing and telemetry cost zero cycles" `Quick

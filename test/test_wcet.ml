@@ -83,9 +83,9 @@ let wcet_of image mode prefix =
   | Error _ -> Alcotest.failf "CFI reconstruction failed for %s" prefix
   | Ok w -> w
 
-let build_one mode name =
+let build_one ?elide mode name =
   let app = Apps.find name in
-  Aft.build ~mode [ Apps.spec_for mode app ]
+  Aft.build ~mode ?elide [ Apps.spec_for mode app ]
 
 let test_quicksort_unbounded_witness () =
   let fw = build_one Iso.Mpu_assisted "quicksort" in
@@ -117,6 +117,26 @@ let test_helper_loops_bounded () =
       | Wcet.Unbounded _ ->
         Alcotest.failf "%s should be bounded" h.Wcet.hb_handler)
     w.Wcet.w_handlers
+
+(* Turning guard elision off keeps the loop bounds: the range analysis
+   runs on every compile, so every platform handler stays bounded. *)
+let test_no_elide_bounded () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun name ->
+          let fw = build_one ~elide:false mode name in
+          let w = wcet_of fw.Aft.fw_image mode name in
+          List.iter
+            (fun (h : Wcet.handler_bound) ->
+              match h.Wcet.hb_total with
+              | Wcet.Bounded _ -> ()
+              | Wcet.Unbounded _ ->
+                Alcotest.failf "%s/%s without elision: %s unbounded" name
+                  (Iso.name mode) h.Wcet.hb_handler)
+            w.Wcet.w_handlers)
+        [ "pedometer"; "clock"; "fall_detection"; "heart_rate" ])
+    [ Iso.Software_only; Iso.Mpu_assisted ]
 
 (* ------------------------------------------------------------------ *)
 (* Soundness: static bound >= every observed dispatch *)
@@ -190,6 +210,8 @@ let () =
             test_quicksort_unbounded_witness;
           Alcotest.test_case "helper loops bounded" `Quick
             test_helper_loops_bounded;
+          Alcotest.test_case "no elision keeps loop bounds" `Quick
+            test_no_elide_bounded;
         ] );
       ( "soundness",
         [ Alcotest.test_case "static >= dynamic" `Slow test_soundness ] );
